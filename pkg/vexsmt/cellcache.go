@@ -96,12 +96,9 @@ const CacheEpoch = 3
 // arriving with either spelling addresses the same entry. The workload is
 // keyed as the full "name@sha256" content reference ("" for synthetic
 // mixes), so the trace bytes — not the file name — address the entry.
+// The cell's part of the key comes from CellSpec.keyFields.
 func CacheKey(meta RunMeta, spec CellSpec) string {
-	pred := spec.Predictor
-	if pred == "static" {
-		pred = ""
-	}
-	sum := sha256.Sum256([]byte(fmt.Sprintf("vexsmt/cell/v%d/e%d|seed=%d|scale=%d|mix=%s|tech=%s|threads=%d|pred=%s|wl=%s",
-		meta.SchemaVersion, CacheEpoch, meta.Seed, meta.Scale, spec.Mix, spec.Technique, spec.Threads, pred, spec.Workload)))
+	sum := sha256.Sum256([]byte(fmt.Sprintf("vexsmt/cell/v%d/e%d|seed=%d|scale=%d|%s",
+		meta.SchemaVersion, CacheEpoch, meta.Seed, meta.Scale, spec.keyFields())))
 	return hex.EncodeToString(sum[:])
 }

@@ -20,8 +20,7 @@
 //
 //	results, err := svc.Stream(ctx, vexsmt.Plan{Figures: []string{"14"}})
 //	for cell := range results {
-//		fmt.Printf("%s/%s/%dT  IPC %.3f\n",
-//			cell.Mix, cell.Technique, cell.Threads, cell.IPC)
+//		fmt.Printf("%s  IPC %.3f\n", cell.CellSpec, cell.IPC)
 //	}
 //
 // Cancellation and determinism contract: cancelling ctx stops the stream

@@ -2,6 +2,7 @@ package vexsmt
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"vexsmt/internal/bpred"
@@ -9,27 +10,6 @@ import (
 	"vexsmt/internal/experiments"
 	"vexsmt/internal/workload"
 )
-
-// CellSpec names one grid cell by its public identity. Technique names are
-// the paper's ("SMT", "CCSI AS", ...); mixes are Figure 13(b) labels;
-// predictor names come from internal/bpred ("static", "bimodal", "gshare",
-// "tage"). An empty Predictor means "static" — the default front end is
-// spelled as absence so static specs (and their JSON) are identical to
-// pre-predictor ones.
-type CellSpec struct {
-	Mix       string `json:"mix"`
-	Technique string `json:"technique"`
-	Threads   int    `json:"threads"`
-	Predictor string `json:"predictor,omitempty"`
-	// Workload names a replayed trace workload instead of a synthetic
-	// mix: either a bare workload name ("fir") resolved against the
-	// service's loaded corpus, or a full "name@sha256" content reference
-	// as produced by PlanCells — the reference form is what travels
-	// between coordinator and daemons, so a shard only accepts the cell
-	// when it holds byte-identical trace content. Mutually exclusive
-	// with Mix.
-	Workload string `json:"workload,omitempty"`
-}
 
 // Plan describes the work of one run. The three fields compose: the
 // resolved plan is the deduplicated union of the named figures' grids, the
@@ -64,98 +44,69 @@ type Plan struct {
 func AllFigures() []string { return []string{"13a", "13b", "14", "15", "16"} }
 
 // ParseFigures expands a comma-separated figure list ("14,15", "all") into
-// figure names, validating each against AllFigures.
+// figure names, validating each against AllFigures. An empty list means
+// every figure.
 func ParseFigures(list string) ([]string, error) {
-	if strings.TrimSpace(list) == "" || list == "all" {
-		return AllFigures(), nil
-	}
-	known := make(map[string]bool)
-	for _, f := range AllFigures() {
-		known[f] = true
-	}
-	// Validate every token before honoring "all": "-fig all,bogus" must be
-	// an error, not a silent full-grid run with a swallowed typo.
-	var out []string
-	sawAll := false
-	seen := make(map[string]bool)
-	for _, f := range strings.Split(list, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		if f == "all" {
-			sawAll = true
-			continue
-		}
-		if !known[f] {
-			return nil, fmt.Errorf("vexsmt: unknown figure %q (have %s, all)",
-				f, strings.Join(AllFigures(), ", "))
-		}
-		if !seen[f] {
-			seen[f] = true
-			out = append(out, f)
-		}
-	}
-	if sawAll {
-		return AllFigures(), nil
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("vexsmt: empty figure list %q", list)
-	}
-	return out, nil
+	return parseList("figure", list, AllFigures(), AllFigures(), func(f string) (string, bool) {
+		return f, slices.Contains(AllFigures(), f)
+	})
 }
 
 // ParsePredictors expands a comma-separated predictor list
 // ("static,bimodal", "all") into canonical model names, validating each
 // against Predictors(). An empty list means the default static front end.
 func ParsePredictors(list string) ([]string, error) {
+	return parseList("predictor", list, bpred.Names(), []string{bpred.Default}, func(name string) (string, bool) {
+		canon, err := bpred.Canonical(name)
+		return canon, err == nil
+	})
+}
+
+// parseList is the comma-list grammar shared by the list flags: an empty
+// list means dflt; otherwise tokens are trimmed, blank ones skipped,
+// duplicates (after canon) dropped, and "all" expands to all. Every token
+// is validated before "all" is honored — "all,bogus" must be an error,
+// not a silent full run with a swallowed typo — and a list of only
+// blanks (",") is an error.
+func parseList(kind, list string, all, dflt []string, canon func(string) (string, bool)) ([]string, error) {
 	if strings.TrimSpace(list) == "" {
-		return []string{bpred.Default}, nil
+		return dflt, nil
 	}
 	var out []string
 	sawAll := false
-	seen := make(map[string]bool)
-	for _, name := range strings.Split(list, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if name == "all" {
+	for _, tok := range strings.Split(list, ",") {
+		tok = strings.TrimSpace(tok)
+		switch {
+		case tok == "":
+		case tok == "all":
 			sawAll = true
-			continue
-		}
-		canon, err := bpred.Canonical(name)
-		if err != nil {
-			return nil, fmt.Errorf("vexsmt: unknown predictor %q (have %s, all)",
-				name, strings.Join(bpred.Names(), ", "))
-		}
-		if !seen[canon] {
-			seen[canon] = true
-			out = append(out, canon)
+		default:
+			name, ok := canon(tok)
+			if !ok {
+				return nil, fmt.Errorf("vexsmt: unknown %s %q (have %s, all)", kind, tok, strings.Join(all, ", "))
+			}
+			if !slices.Contains(out, name) {
+				out = append(out, name)
+			}
 		}
 	}
 	if sawAll {
-		return bpred.Names(), nil
+		return all, nil
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("vexsmt: empty predictor list %q", list)
+		return nil, fmt.Errorf("vexsmt: empty %s list %q", kind, list)
 	}
 	return out, nil
 }
 
-// canonPredictor maps a public predictor name to the internal cell
-// spelling: canonical per bpred, with the default static model spelled ""
-// so static cells stay identical to pre-predictor ones everywhere they
-// are compared, keyed, or serialized.
+// canonPredictor validates a public predictor name and maps it to the
+// internal cell spelling (see internalPredictor).
 func canonPredictor(name string) (string, error) {
 	canon, err := bpred.Canonical(name)
 	if err != nil {
 		return "", fmt.Errorf("vexsmt: %w", err)
 	}
-	if canon == bpred.Default {
-		return "", nil
-	}
-	return canon, nil
+	return internalPredictor(canon), nil
 }
 
 // mixTable returns the paper's nine mixes (internal type; used by
@@ -220,13 +171,8 @@ func (s *Service) resolve(p Plan) (*experiments.Plan, error) {
 		ip.Add(c)
 	}
 	for _, c := range ip.Cells() {
-		if !s.allowed(c.Tech) {
-			return nil, fmt.Errorf("vexsmt: technique %s not enabled on this service (WithTechniques)",
-				c.Tech.Name())
-		}
-		if !s.allowedPred(c.Pred) {
-			return nil, fmt.Errorf("vexsmt: predictor %s not enabled on this service (WithPredictors)",
-				publicPredictor(c.Pred))
+		if err := s.admit(c); err != nil {
+			return nil, err
 		}
 	}
 	return ip, nil
@@ -265,30 +211,17 @@ func (s *Service) cell(spec CellSpec) (experiments.Cell, error) {
 	return experiments.Cell{Mix: mix, Tech: tech, Threads: spec.Threads, Pred: pred}, nil
 }
 
-func (s *Service) allowed(t core.Technique) bool {
-	for _, have := range s.techniques {
-		if have == t {
-			return true
-		}
+// admit enforces the service's technique and predictor sets on one
+// resolved cell. resolve and RunCell share it, so a plan and a single
+// cell are admitted alike.
+func (s *Service) admit(c experiments.Cell) error {
+	if !s.allowed(c.Tech) {
+		return fmt.Errorf("vexsmt: technique %s not enabled on this service (WithTechniques)", c.Tech.Name())
 	}
-	return false
+	if !slices.Contains(s.predictors, publicPredictor(c.Pred)) {
+		return fmt.Errorf("vexsmt: predictor %s not enabled on this service (WithPredictors)", publicPredictor(c.Pred))
+	}
+	return nil
 }
 
-// publicPredictor maps the internal cell spelling back to the public
-// model name ("" -> "static").
-func publicPredictor(pred string) string {
-	if pred == "" {
-		return bpred.Default
-	}
-	return pred
-}
-
-func (s *Service) allowedPred(pred string) bool {
-	name := publicPredictor(pred)
-	for _, have := range s.predictors {
-		if have == name {
-			return true
-		}
-	}
-	return false
-}
+func (s *Service) allowed(t core.Technique) bool { return slices.Contains(s.techniques, t) }

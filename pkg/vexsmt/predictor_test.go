@@ -189,10 +189,10 @@ func TestStaticExportOmitsPredictorFields(t *testing.T) {
 
 func TestSortPredictorTiebreak(t *testing.T) {
 	rs := &ResultSet{Cells: []CellResult{
-		{Mix: "llll", Technique: "SMT", Threads: 2, Predictor: "gshare"},
-		{Mix: "llll", Technique: "SMT", Threads: 2, Predictor: "bimodal"},
-		{Mix: "llll", Technique: "SMT", Threads: 2},
-		{Mix: "llll", Technique: "SMT", Threads: 4},
+		{CellSpec: CellSpec{Mix: "llll", Technique: "SMT", Threads: 2, Predictor: "gshare"}},
+		{CellSpec: CellSpec{Mix: "llll", Technique: "SMT", Threads: 2, Predictor: "bimodal"}},
+		{CellSpec: CellSpec{Mix: "llll", Technique: "SMT", Threads: 2}},
+		{CellSpec: CellSpec{Mix: "llll", Technique: "SMT", Threads: 4}},
 	}}
 	rs.Sort()
 	got := make([]string, len(rs.Cells))

@@ -75,9 +75,13 @@ func countersFromRun(r *stats.Run) Counters {
 	}
 }
 
-// CellResult is one completed grid cell: the workload/technique/thread
-// identity, the deterministic seed the cell ran under, and its counters.
-// Err is set instead of Counters when the cell failed.
+// CellResult is one completed grid cell: the cell's identity (the
+// embedded CellSpec, whose fields inline into the JSON at the same
+// position and with the same tags), the deterministic seed the cell ran
+// under, and its counters. Its Predictor carries the internal canonical
+// spelling ("" for static) and its Workload the full "name@sha256"
+// reference; workload cells leave Mix empty. Err is set instead of
+// Counters when the cell failed.
 //
 // Cached is a transport-level hint — the result was recalled from a
 // content-addressed cache rather than simulated — and is not part of the
@@ -85,18 +89,7 @@ func countersFromRun(r *stats.Run) Counters {
 // contract, so Canonicalize and Merge clear the flag before results are
 // compared, deduplicated or exported.
 type CellResult struct {
-	Mix       string `json:"mix"`
-	Technique string `json:"technique"`
-	Threads   int    `json:"threads"`
-	// Predictor carries the internal canonical spelling: "" for the
-	// default static front end (omitted from JSON, so static documents
-	// match pre-predictor ones byte for byte), else the model name.
-	Predictor string `json:"predictor,omitempty"`
-	// Workload carries the full "name@sha256" content reference of a
-	// trace-backed cell; "" (omitted from JSON) marks a synthetic-mix
-	// cell, so mix-only documents match pre-workload ones byte for byte.
-	// Workload cells leave Mix empty.
-	Workload string   `json:"workload,omitempty"`
+	CellSpec
 	Seed     uint64   `json:"seed"`
 	IPC      float64  `json:"ipc"`
 	Counters Counters `json:"counters"`
@@ -129,40 +122,24 @@ type RunMeta struct {
 	Techniques    string `json:"techniques,omitempty"`
 }
 
-// ResultSet is the batch results document: metadata plus cells sorted by
-// (mix, technique, threads) so equal runs encode byte-identically.
+// ResultSet is the batch results document: metadata plus cells in the
+// canonical cell order (see Sort) so equal runs encode byte-identically.
 type ResultSet struct {
 	Meta  RunMeta      `json:"meta"`
 	Cells []CellResult `json:"cells"`
 }
 
-// Sort orders the cells by (mix, workload, technique, threads, predictor),
-// the canonical encoding order; the static predictor's and synthetic
-// workload's empty spellings sort first, so pre-axis sets keep their
-// historical order exactly. Collect returns sorted sets already; producers
-// that accumulate cells in completion order (e.g. a streaming server) call
-// this before encoding.
+// Sort orders the cells canonically: (mix, workload, technique, threads,
+// predictor), with the default predictor and synthetic workload first
+// (see CellSpec.less). Collect returns sorted sets already; producers
+// that accumulate cells in completion order (e.g. a streaming server)
+// call this before encoding.
 func (rs *ResultSet) Sort() {
-	sort.Slice(rs.Cells, func(i, j int) bool {
-		a, b := rs.Cells[i], rs.Cells[j]
-		if a.Mix != b.Mix {
-			return a.Mix < b.Mix
-		}
-		if a.Workload != b.Workload {
-			return a.Workload < b.Workload
-		}
-		if a.Technique != b.Technique {
-			return a.Technique < b.Technique
-		}
-		if a.Threads != b.Threads {
-			return a.Threads < b.Threads
-		}
-		return a.Predictor < b.Predictor
-	})
+	sort.Slice(rs.Cells, func(i, j int) bool { return rs.Cells[i].less(rs.Cells[j].CellSpec) })
 }
 
-// Canonicalize rewrites rs into its canonical form: cells in (mix,
-// technique, threads) order, the schema version stamped, and the
+// Canonicalize rewrites rs into its canonical form: cells in canonical
+// order (see Sort), the schema version stamped, and the
 // informational fields — parallelism and the per-cell Cached hints —
 // zeroed. Two runs of the same plan, seed and scale encode byte-
 // identically after Canonicalize no matter how many processes, worker
@@ -189,13 +166,7 @@ func (rs *ResultSet) Canonicalize() {
 // single-process Collect of that plan canonicalizes to.
 func (rs *ResultSet) Merge(others ...*ResultSet) (*ResultSet, error) {
 	merged := &ResultSet{Meta: rs.Meta}
-	type cellKey struct {
-		mix, technique string
-		threads        int
-		predictor      string
-		workload       string
-	}
-	seen := make(map[cellKey]CellResult, len(rs.Cells))
+	seen := make(map[CellSpec]CellResult, len(rs.Cells))
 	add := func(set *ResultSet) error {
 		if set.Meta.SchemaVersion != rs.Meta.SchemaVersion {
 			return fmt.Errorf("vexsmt: merge: schema version %d vs %d",
@@ -216,15 +187,13 @@ func (rs *ResultSet) Merge(others ...*ResultSet) (*ResultSet, error) {
 			// cell recalled from cache on one backend and simulated on
 			// another must deduplicate, not conflict.
 			c.Cached = false
-			k := cellKey{c.Mix, c.Technique, c.Threads, c.Predictor, c.Workload}
-			if prev, ok := seen[k]; ok {
+			if prev, ok := seen[c.CellSpec]; ok {
 				if prev != c {
-					return fmt.Errorf("vexsmt: merge: conflicting duplicates of cell %s",
-						cellName(c))
+					return fmt.Errorf("vexsmt: merge: conflicting duplicates of cell %s", c.CellSpec)
 				}
 				continue
 			}
-			seen[k] = c
+			seen[c.CellSpec] = c
 			merged.Cells = append(merged.Cells, c)
 		}
 		return nil
@@ -239,21 +208,6 @@ func (rs *ResultSet) Merge(others ...*ResultSet) (*ResultSet, error) {
 	}
 	merged.Canonicalize()
 	return merged, nil
-}
-
-// cellName renders a cell's identity for error messages, appending the
-// predictor only when it is a modeled one. Workload cells show the trace
-// reference where mix cells show their label.
-func cellName(c CellResult) string {
-	label := c.Mix
-	if c.Workload != "" {
-		label = c.Workload
-	}
-	name := fmt.Sprintf("%s/%s/%dT", label, c.Technique, c.Threads)
-	if c.Predictor != "" {
-		name += "/" + c.Predictor
-	}
-	return name
 }
 
 // EncodeResults writes rs as schema-versioned JSON. The stored schema

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -232,8 +233,7 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	running := s.runningWeightLocked()
 	prefetching := len(s.prefetch)
-	predictors := s.runningPredictorsLocked()
-	workloads := s.runningWorkloadsLocked()
+	predictors, workloads := s.runningAxesLocked()
 	s.mu.Unlock()
 	st := Stats{
 		Capacity:       s.capacity(),
@@ -573,8 +573,8 @@ func (s *Server) submitPlan(w http.ResponseWriter, r *http.Request) {
 		num:        s.next,
 		meta:       svc.Meta(),
 		total:      total,
-		predictors: predictorAxis(cells),
-		workloads:  workloadAxis(cells),
+		predictors: axis(cells, vexsmt.CellSpec.PredictorName),
+		workloads:  axis(cells, func(c vexsmt.CellSpec) string { return c.Workload }),
 		weight:     weight,
 		created:    time.Now(),
 		cancel:     cancel,
@@ -619,7 +619,7 @@ func (j *job) consume(ctx context.Context, ch <-chan vexsmt.CellResult) {
 		j.mu.Lock()
 		j.cells = append(j.cells, cell)
 		if cell.Err != "" && j.failed == "" {
-			j.failed = fmt.Sprintf("%s/%s/%dT: %s", cell.Mix, cell.Technique, cell.Threads, cell.Err)
+			j.failed = fmt.Sprintf("%s: %s", cell.CellSpec, cell.Err)
 		}
 		j.mu.Unlock()
 	}
@@ -716,84 +716,39 @@ func (s *Server) capacity() int {
 	return maxRunningJobs
 }
 
-// predictorAxis derives the sorted distinct predictor set of a resolved
-// plan's cells, in public spelling (a cell's empty predictor is the
-// static front end).
-func predictorAxis(cells []vexsmt.CellSpec) string {
-	seen := make(map[string]bool, 4)
-	var names []string
-	for _, c := range cells {
-		name := c.Predictor
-		if name == "" {
-			name = "static"
-		}
-		if !seen[name] {
-			seen[name] = true
-			names = append(names, name)
-		}
+// axis derives one axis of a resolved plan's cells as a sorted distinct
+// comma-joined list. Empty values (a synthetic cell's workload) are
+// dropped, so an all-synthetic plan has an empty workload axis.
+func axis(cells []vexsmt.CellSpec, of func(vexsmt.CellSpec) string) string {
+	values := make([]string, len(cells))
+	for i, c := range cells {
+		values[i] = of(c)
 	}
-	sort.Strings(names)
-	return strings.Join(names, ",")
+	return joinDistinct(values)
 }
 
-// runningPredictorsLocked unions the predictor axes of all running jobs,
-// sorted distinct and comma-joined. Caller holds s.mu.
-func (s *Server) runningPredictorsLocked() string {
-	seen := make(map[string]bool, 4)
-	var names []string
+// joinDistinct sorts values, drops duplicates and empties, and joins
+// the rest with commas.
+func joinDistinct(values []string) string {
+	slices.Sort(values)
+	values = slices.Compact(values)
+	if len(values) > 0 && values[0] == "" {
+		values = values[1:]
+	}
+	return strings.Join(values, ",")
+}
+
+// runningAxesLocked unions the predictor and workload axes of all
+// running jobs. Caller holds s.mu.
+func (s *Server) runningAxesLocked() (predictors, workloads string) {
+	var preds, wls []string
 	for _, j := range s.jobs {
-		status, _, _ := j.progress()
-		if status != "running" || j.predictors == "" {
-			continue
-		}
-		for _, name := range strings.Split(j.predictors, ",") {
-			if !seen[name] {
-				seen[name] = true
-				names = append(names, name)
-			}
+		if status, _, _ := j.progress(); status == "running" {
+			preds = append(preds, strings.Split(j.predictors, ",")...)
+			wls = append(wls, strings.Split(j.workloads, ",")...)
 		}
 	}
-	sort.Strings(names)
-	return strings.Join(names, ",")
-}
-
-// workloadAxis derives the sorted distinct trace-workload set of a
-// resolved plan's cells, as "name@sha256" references. Synthetic cells
-// (empty Workload) contribute nothing, so an all-synthetic plan has an
-// empty axis.
-func workloadAxis(cells []vexsmt.CellSpec) string {
-	seen := make(map[string]bool, 4)
-	var refs []string
-	for _, c := range cells {
-		if c.Workload == "" || seen[c.Workload] {
-			continue
-		}
-		seen[c.Workload] = true
-		refs = append(refs, c.Workload)
-	}
-	sort.Strings(refs)
-	return strings.Join(refs, ",")
-}
-
-// runningWorkloadsLocked unions the workload axes of all running jobs,
-// sorted distinct and comma-joined. Caller holds s.mu.
-func (s *Server) runningWorkloadsLocked() string {
-	seen := make(map[string]bool, 4)
-	var refs []string
-	for _, j := range s.jobs {
-		status, _, _ := j.progress()
-		if status != "running" || j.workloads == "" {
-			continue
-		}
-		for _, ref := range strings.Split(j.workloads, ",") {
-			if !seen[ref] {
-				seen[ref] = true
-				refs = append(refs, ref)
-			}
-		}
-	}
-	sort.Strings(refs)
-	return strings.Join(refs, ",")
+	return joinDistinct(preds), joinDistinct(wls)
 }
 
 // runningWeightLocked sums the admission weight of jobs still

@@ -78,18 +78,6 @@ func New(opts ...Option) (*Service, error) {
 	return s, nil
 }
 
-// cellSpecOf maps an internal cell back to its public spec: internal
-// spellings carry over verbatim (Pred "" = static, WL "" = synthetic).
-func cellSpecOf(c experiments.Cell) CellSpec {
-	return CellSpec{
-		Mix:       c.Mix.Label,
-		Technique: c.Tech.Name(),
-		Threads:   c.Threads,
-		Predictor: c.Pred,
-		Workload:  c.WL,
-	}
-}
-
 // LoadWorkloads loads a trace corpus directory (.vxt binary traces and
 // .vex assembly programs; see internal/wstore) into the process-shared
 // workload store and returns the sorted "name@sha256" content references.
@@ -188,14 +176,7 @@ func (s *Service) CacheStats() CacheStats {
 
 // cellResult converts one internal outcome to the schema type.
 func (s *Service) cellResult(c experiments.Cell, r *stats.Run, cached bool, err error) CellResult {
-	out := CellResult{
-		Mix:       c.Mix.Label,
-		Technique: c.Tech.Name(),
-		Threads:   c.Threads,
-		Predictor: c.Pred,
-		Workload:  c.WL,
-		Seed:      s.m.CellSeed(c),
-	}
+	out := CellResult{CellSpec: cellSpecOf(c), Seed: s.m.CellSeed(c)}
 	if err != nil {
 		out.Err = err.Error()
 		return out
@@ -215,9 +196,8 @@ func (s *Service) RunCell(ctx context.Context, spec CellSpec) (CellResult, error
 	if err != nil {
 		return CellResult{}, err
 	}
-	if !s.allowed(c.Tech) {
-		return CellResult{}, fmt.Errorf("vexsmt: technique %s not enabled on this service (WithTechniques)",
-			c.Tech.Name())
+	if err := s.admit(c); err != nil {
+		return CellResult{}, err
 	}
 	r, cached, err := s.m.RunCellInfo(ctx, c)
 	if err != nil {
@@ -299,8 +279,9 @@ func (s *Service) Stream(ctx context.Context, p Plan) (<-chan CellResult, error)
 }
 
 // Collect runs a plan to completion and returns the sorted, deterministic
-// ResultSet: metadata plus every cell in (mix, technique, threads) order.
-// The first cell error (or the context's error) aborts the collection.
+// ResultSet: metadata plus every cell in canonical order (see
+// ResultSet.Sort). The first cell error (or the context's error) aborts
+// the collection.
 func (s *Service) Collect(ctx context.Context, p Plan) (*ResultSet, error) {
 	ch, err := s.Stream(ctx, p)
 	if err != nil {
@@ -325,7 +306,7 @@ func (s *Service) Collect(ctx context.Context, p Plan) (*ResultSet, error) {
 		return nil, err
 	}
 	if failed != nil {
-		return nil, fmt.Errorf("vexsmt: %s/%s/%dT: %s", failed.Mix, failed.Technique, failed.Threads, failed.Err)
+		return nil, fmt.Errorf("vexsmt: %s: %s", failed.CellSpec, failed.Err)
 	}
 	rs.Sort()
 	return rs, nil

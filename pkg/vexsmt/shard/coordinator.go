@@ -152,9 +152,9 @@ func (cb *cellBackend) Run(ctx context.Context, spec vexsmt.CellSpec) (vexsmt.Ce
 			cb.b.Name(), len(rs.Cells))
 	}
 	got := rs.Cells[0]
-	if got.Mix != spec.Mix || got.Technique != spec.Technique || got.Threads != spec.Threads {
-		return vexsmt.CellResult{}, fmt.Errorf("shard: %s returned cell %s/%s/%dT for job %s/%s/%dT",
-			cb.b.Name(), got.Mix, got.Technique, got.Threads, spec.Mix, spec.Technique, spec.Threads)
+	if got.CellSpec != spec {
+		return vexsmt.CellResult{}, fmt.Errorf("shard: %s returned cell %s for job %s",
+			cb.b.Name(), got.CellSpec, spec)
 	}
 	return got, nil
 }

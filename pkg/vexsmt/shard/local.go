@@ -85,8 +85,8 @@ func (l *Local) Run(ctx context.Context, job Job) (*vexsmt.ResultSet, error) {
 	if failed != nil {
 		// Cells fail deterministically (their seed travels with them), so
 		// this failure would reproduce on any backend.
-		return nil, sched.Permanent(fmt.Errorf("shard: backend %s: %s/%s/%dT: %s",
-			l.name, failed.Mix, failed.Technique, failed.Threads, failed.Err))
+		return nil, sched.Permanent(fmt.Errorf("shard: backend %s: %s: %s",
+			l.name, failed.CellSpec, failed.Err))
 	}
 	rs.Sort()
 	return rs, nil

@@ -7,10 +7,16 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"vexsmt/internal/isa"
+	"vexsmt/internal/synth"
+	"vexsmt/internal/trace"
 	"vexsmt/pkg/vexsmt"
 	"vexsmt/pkg/vexsmt/cache"
 	"vexsmt/pkg/vexsmt/server"
@@ -363,43 +369,101 @@ func TestPlacementSkipsUnhealthyBackend(t *testing.T) {
 	}
 }
 
-// wrongCellBackend answers every one-cell job with a fixed foreign cell.
-type wrongCellBackend struct {
+// rewriteJobBackend runs a rewritten copy of every job: a backend that
+// quietly simulates a different cell than the job named (another mix, the
+// static front end for a modeled one, another trace), then honestly
+// reports the cell it did simulate.
+type rewriteJobBackend struct {
 	shard.Backend
+	rewrite func(*vexsmt.CellSpec)
 }
 
-func (w *wrongCellBackend) Run(ctx context.Context, job shard.Job) (*vexsmt.ResultSet, error) {
-	rs, err := w.Backend.Run(ctx, job)
-	if err != nil {
-		return nil, err
+func (w *rewriteJobBackend) Run(ctx context.Context, job shard.Job) (*vexsmt.ResultSet, error) {
+	job.Cells = append([]vexsmt.CellSpec(nil), job.Cells...)
+	for i := range job.Cells {
+		w.rewrite(&job.Cells[i])
 	}
-	for i := range rs.Cells {
-		rs.Cells[i].Mix = "hhhh" // lie about the identity
-	}
-	return rs, nil
+	return w.Backend.Run(ctx, job)
 }
 
 // TestCoordinatorRejectsWrongCellIdentity: a backend answering a one-cell
-// job with a different cell must not slip into the result set as a
-// silent duplicate-plus-gap (the guarantee the old merge's conflict
-// detection provided).
+// job with a different cell must not slip into the result set under the
+// job's name (the guarantee the old merge's conflict detection provided).
+// The check covers the whole cell identity — a trace cell has no mix, and
+// a static answer to a tage cell differs only in predictor — and the
+// refusal stays retryable, so an honest backend then runs the real cell.
 func TestCoordinatorRejectsWrongCellIdentity(t *testing.T) {
-	svc := testService(t)
-	liar := &wrongCellBackend{Backend: shard.NewLocal("liar", svc)}
-	coord, err := shard.New(shard.Config{
-		Scale:   testScale,
-		Seed:    svc.Seed(),
-		Retries: -1, // every attempt lies; fail fast
-	}, liar)
+	refs, err := vexsmt.LoadWorkloads(writeTestCorpus(t, "idct", "mcf"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = coord.Collect(context.Background(), vexsmt.Plan{Cells: []vexsmt.CellSpec{
-		{Mix: "llll", Technique: "SMT", Threads: 2},
-	}})
-	if err == nil {
-		t.Fatal("wrong-identity cell accepted")
+	svc := testService(t)
+	for _, tc := range []struct {
+		name    string
+		spec    vexsmt.CellSpec
+		rewrite func(*vexsmt.CellSpec)
+		want    string
+	}{
+		{"mix", vexsmt.CellSpec{Mix: "llll", Technique: "SMT", Threads: 2},
+			func(c *vexsmt.CellSpec) { c.Mix = "hhhh" },
+			"liar returned cell hhhh/SMT/2T for job llll/SMT/2T"},
+		{"dropped predictor", vexsmt.CellSpec{Mix: "llll", Technique: "SMT", Threads: 2, Predictor: "tage"},
+			func(c *vexsmt.CellSpec) { c.Predictor = "" },
+			"liar returned cell llll/SMT/2T for job llll/SMT/2T/tage"},
+		{"swapped workload", vexsmt.CellSpec{Workload: refs[0], Technique: "SMT", Threads: 2},
+			func(c *vexsmt.CellSpec) { c.Workload = refs[1] },
+			"liar returned cell " + refs[1] + "/SMT/2T for job " + refs[0] + "/SMT/2T"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := vexsmt.Plan{Cells: []vexsmt.CellSpec{tc.spec}}
+			liar := &rewriteJobBackend{Backend: shard.NewLocal("liar", svc), rewrite: tc.rewrite}
+			alone, err := shard.New(shard.Config{Scale: testScale, Seed: svc.Seed(), Retries: -1}, liar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := alone.Collect(context.Background(), plan); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got error %v, want one containing %q", err, tc.want)
+			}
+			// Retried away from the liar, the cell lands on the honest
+			// backend and exports exactly the single-process bytes.
+			coord, err := shard.New(shard.Config{Scale: testScale, Seed: svc.Seed()}, liar, shard.NewLocal("honest", svc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs, err := coord.Collect(context.Background(), plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := encodeCanonical(t, rs); got != collectBaseline(t, svc, plan) {
+				t.Fatal("retried cell differs from Service.Collect")
+			}
+		})
 	}
+}
+
+// writeTestCorpus records the named synthetic profiles as .vxt traces in
+// a fresh directory, the corpus tracegen -record would produce.
+func writeTestCorpus(t *testing.T, names ...string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, name := range names {
+		p, ok := synth.ByName(name)
+		if !ok {
+			t.Fatalf("no synthetic profile %q", name)
+		}
+		f, err := os.Create(filepath.Join(dir, name+".vxt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		instrs := trace.Record(synth.MustNewGenerator(p, isa.ST200x4), 2000)
+		if err := trace.Write(f, name, isa.ST200x4.Clusters, instrs); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
 }
 
 // TestLocalBackendRejectsForeignJob: a Local backend must refuse to run a
