@@ -10,8 +10,8 @@
 // ones, the output is byte-identical to what a single process would
 // produce — `vexsmtctl -json out` files diff clean no matter how many
 // machines ran the sweep or how warm their caches were. Interrupting a
-// run (SIGINT) propagates a DELETE to every in-flight cell within one
-// timeslice-bounded poll.
+// run (SIGINT) closes every in-flight cell's results stream, and each
+// daemon cancels its cell within one timeslice-bounded poll.
 //
 // Usage:
 //
@@ -305,7 +305,7 @@ func run(args []string) error {
 		progressDone()
 		if err != nil {
 			if errors.Is(err, context.Canceled) && ctx.Err() != nil {
-				return fmt.Errorf("cancelled; DELETE propagated to all in-flight cells")
+				return fmt.Errorf("cancelled; closed the stream of every in-flight cell")
 			}
 			return err
 		}

@@ -6,6 +6,7 @@
 //	vexsmtd -addr :8080 -scale 1000
 //
 //	curl -s localhost:8080/v1/plans -d '{"figures":["14"]}'
+//	curl -sN 'localhost:8080/v1/plans?stream=1' -d '{"figures":["14"]}'
 //	curl -s 'localhost:8080/v1/results?id=plan-1'
 //	curl -sN 'localhost:8080/v1/results?id=plan-1&stream=1'
 //	curl -s -X DELETE 'localhost:8080/v1/plans?id=plan-1'

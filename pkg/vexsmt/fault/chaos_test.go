@@ -80,8 +80,8 @@ func quickChaos() fault.Profile {
 // faults inside each daemon produces byte-identical merged results to
 // the clean single-process run, with zero lost cells. Retries (8, so 9
 // attempts) strictly exceed the worst-case hard-fault count a cell can
-// absorb — the per-identity budget (2) times its four identities
-// (submit/stream crossed with two backends) — and local fallback is
+// absorb — the per-identity budget (2) times its two identities (its
+// stream-form submit to each of two backends) — and local fallback is
 // armed so even a fully faulted placement round degrades to an
 // identical local run rather than failing.
 func TestChaosSweepByteIdentical(t *testing.T) {

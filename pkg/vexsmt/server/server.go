@@ -11,6 +11,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"slices"
 	"sort"
@@ -29,6 +30,10 @@ import (
 // pkg/vexsmt — the server never reaches into internal packages.
 //
 //	POST   /v1/plans            submit a plan; returns {"id": ...}
+//	POST   /v1/plans?stream=1   submit and stream in one request: NDJSON
+//	                            ack line ({"id": ...}), then the results
+//	                            stream below; the plan is cancelled if
+//	                            still running and evicted when it ends
 //	GET    /v1/plans            list submitted plans
 //	GET    /v1/results?id=ID    snapshot: meta, status, progress, cells
 //	GET    /v1/results?id=ID&stream=1
@@ -473,13 +478,20 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 }
 
 // submitPlan validates the request, resolves the plan eagerly (so bad
-// plans fail with 400, not asynchronously), and starts streaming.
+// plans fail with 400, not asynchronously), and starts streaming. With
+// stream=1 the reply is the plan's NDJSON results stream, led by the ack
+// object the 202 form returns, and the plan lives only as long as the
+// request: one round trip per plan, and a client cancels by hanging up.
 func (s *Server) submitPlan(w http.ResponseWriter, r *http.Request) {
 	var req planRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	body := http.MaxBytesReader(w, r.Body, 1<<20)
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad plan: %v", err)
 		return
 	}
+	// net/http notices a client hanging up (ending r.Context()) only once
+	// the request body has been read to EOF.
+	_, _ = io.Copy(io.Discard, body)
 	// Present overrides — including explicit zeros — go through the option
 	// validators, so an invalid value (zero or negative scale, zero
 	// parallelism) is a 400, never a silent fallback to the defaults.
@@ -595,11 +607,17 @@ func (s *Server) submitPlan(w http.ResponseWriter, r *http.Request) {
 	// (connection trouble mid-response) can still DELETE the plan instead
 	// of orphaning a running job.
 	w.Header().Set("X-Vexsmt-Plan-Id", j.id)
-	writeJSON(w, http.StatusAccepted, map[string]any{
+	ack := map[string]any{
 		"id":    j.id,
 		"cells": total,
 		"meta":  j.meta,
-	})
+	}
+	if r.URL.Query().Get("stream") != "" {
+		defer s.dropJob(j)
+		s.streamResults(w, r, j, ack)
+		return
+	}
+	writeJSON(w, http.StatusAccepted, ack)
 }
 
 // consume drains the stream into the job, recording the terminal state.
@@ -682,15 +700,21 @@ func (s *Server) cancelPlan(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "unknown plan")
 		return
 	}
-	j.cancel()
-	<-j.done
-	s.mu.Lock()
-	delete(s.jobs, id)
-	s.mu.Unlock()
+	s.dropJob(j)
 	status, completed, _ := j.progress()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"id": j.id, "status": status, "completed": completed,
 	})
+}
+
+// dropJob cancels j if it is still running, waits for its stream to
+// drain, and evicts it.
+func (s *Server) dropJob(j *job) {
+	j.cancel()
+	<-j.done
+	s.mu.Lock()
+	delete(s.jobs, j.id)
+	s.mu.Unlock()
 }
 
 // maxRetainedJobs bounds server memory: beyond this many jobs, the oldest
@@ -801,7 +825,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Query().Get("stream") != "" {
-		s.streamResults(w, r, j)
+		s.streamResults(w, r, j, nil)
 		return
 	}
 	status, failed, total, cells := j.snapshot(0)
@@ -827,20 +851,31 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// streamResults writes NDJSON: every completed cell (including those that
-// finished before the watcher connected), live cells as they complete, and
-// one terminal status object. Polling the job avoids subscription
-// plumbing; 100ms granularity is invisible next to cell runtimes.
-func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, j *job) {
+// streamResults writes NDJSON: the lead line, if any (the stream-form
+// submit's ack), every completed cell (including those that finished before
+// the watcher connected), live cells as they complete, and one terminal
+// status object. Polling the job avoids subscription plumbing; 100ms
+// granularity is invisible next to cell runtimes.
+//
+// Output is buffered, headers included, and flushed only when the writer
+// is about to wait with cells the client has not seen, or on the tick — so
+// a watcher of a slow plan gets its 200 within one tick and can tell
+// "running" from "dead", while a plan that finishes before the writer
+// waits (a cache hit) leaves in the one write net/http makes when the
+// handler returns.
+func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, j *job, lead any) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		// Push the status line and headers now: cells can take minutes, and
-		// a watcher must be able to tell "running" from "dead" immediately.
-		flusher.Flush()
+	flush := func() {}
+	if f, ok := w.(http.Flusher); ok {
+		flush = f.Flush
 	}
 	enc := json.NewEncoder(w)
+	if lead != nil {
+		if err := enc.Encode(lead); err != nil {
+			return
+		}
+	}
 
 	offset := 0
 	tick := time.NewTicker(100 * time.Millisecond)
@@ -853,9 +888,6 @@ func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, j *job) {
 			}
 		}
 		offset += len(cells)
-		if flusher != nil && len(cells) > 0 {
-			flusher.Flush()
-		}
 		if status != "running" {
 			_ = enc.Encode(map[string]any{
 				"status": status, "error": failed,
@@ -863,12 +895,16 @@ func (s *Server) streamResults(w http.ResponseWriter, r *http.Request, j *job) {
 			})
 			return
 		}
+		if len(cells) > 0 {
+			flush()
+		}
 		select {
 		case <-r.Context().Done():
 			return
 		case <-j.done:
 			// Loop once more to drain the tail and emit the status line.
 		case <-tick.C:
+			flush()
 		}
 	}
 }

@@ -69,7 +69,8 @@ func TestGracefulShutdownDrainsStreamsAndPrefetch(t *testing.T) {
 	pf.Body.Close()
 
 	// Attach the stream; Get returns once streamResults has pushed
-	// headers, so the watcher is wired up before shutdown begins.
+	// headers (on its first tick), so the watcher is wired up before
+	// shutdown begins.
 	stream, err := client.Get(base + "/v1/results?id=" + plan.ID + "&stream=1")
 	if err != nil {
 		t.Fatal(err)

@@ -165,7 +165,7 @@ func (cb *cellBackend) Run(ctx context.Context, spec vexsmt.CellSpec) (vexsmt.Ce
 // and failover — returning the canonical ResultSet: byte-identical (after
 // canonical encoding) to a single-process Service.Collect of the same
 // plan, seed and scale. Cancelling ctx aborts every in-flight cell;
-// remote cells are cancelled with a DELETE.
+// remote cells are cancelled by closing their results streams.
 func (c *Coordinator) Collect(ctx context.Context, plan vexsmt.Plan) (*vexsmt.ResultSet, error) {
 	// Resolve through a scratch service: same vocabulary, same validation,
 	// same dedup and ordering a single-process run would use.

@@ -35,8 +35,21 @@ type ndLine struct {
 // cell backend and any other /v1/results consumer share it, so the
 // protocol is parsed in exactly one place.
 func DecodeResultStream(r io.Reader, onCell func(vexsmt.CellResult)) (status, errMsg string, err error) {
+	return decodeResults(newLineScanner(r), onCell)
+}
+
+// newLineScanner returns the scanner every NDJSON stream is read with. Its
+// buffer starts small — a one-cell stream is under a kilobyte — and grows
+// to the 1 MiB line cap only for lines that need it.
+func newLineScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(make([]byte, 0, 4<<10), 1<<20)
+	return sc
+}
+
+// decodeResults is DecodeResultStream over a scanner that may already have
+// consumed leading lines (the stream-form submit's ack).
+func decodeResults(sc *bufio.Scanner, onCell func(vexsmt.CellResult)) (status, errMsg string, err error) {
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {

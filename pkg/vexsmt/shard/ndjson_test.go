@@ -1,8 +1,11 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -141,5 +144,54 @@ func TestDecodeResultStreamNoTerminal(t *testing.T) {
 		`{"status":"failed","error":"cell exploded"}`+"\n"), nil)
 	if err != nil || status != "failed" || errMsg != "cell exploded" {
 		t.Fatalf("status %q errMsg %q err %v", status, errMsg, err)
+	}
+}
+
+// A one-cell stream, the coordinator's unit of work, is under a kilobyte;
+// decoding it must not cost a buffer sized for the 1 MiB line cap.
+func TestDecodeResultStreamOneCellAllocs(t *testing.T) {
+	var nd bytes.Buffer
+	enc := json.NewEncoder(&nd)
+	cell := vexsmt.CellResult{CellSpec: vexsmt.CellSpec{Mix: "mmhh", Technique: "CCSI AS", Threads: 4},
+		Seed: 1 << 60, IPC: 2.718281828459045}
+	if err := enc.Encode(cell); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Encode(map[string]any{"status": "done", "error": "", "completed": 1, "cells": 1}); err != nil {
+		t.Fatal(err)
+	}
+	decode := func() {
+		status, _, err := DecodeResultStream(bytes.NewReader(nd.Bytes()), func(vexsmt.CellResult) {})
+		if err != nil || status != "done" {
+			t.Fatalf("status %q, err %v", status, err)
+		}
+	}
+	decode() // warm up encoding/json's type caches
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		decode()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 16<<10 {
+		t.Fatalf("decoding a %d-byte one-cell stream allocates %d bytes, want < 16 KiB", nd.Len(), per)
+	}
+}
+
+// The small starting buffer still grows to the 1 MiB line cap, and no
+// further.
+func TestDecodeResultStreamLineCap(t *testing.T) {
+	line := func(n int) string {
+		return `{"mix":"mmhh","technique":"SMT","threads":2,"error":"` + strings.Repeat("x", n) + `"}` + "\n"
+	}
+	var got string
+	status, _, err := DecodeResultStream(strings.NewReader(line(900<<10)+`{"status":"done"}`+"\n"),
+		func(c vexsmt.CellResult) { got = c.Err })
+	if err != nil || status != "done" || len(got) != 900<<10 {
+		t.Fatalf("900 KiB line: status %q, err %v, error field %d bytes", status, err, len(got))
+	}
+	if _, _, err := DecodeResultStream(strings.NewReader(line(1<<20)), nil); err == nil {
+		t.Fatal("a line past 1 MiB decoded; want an error")
 	}
 }

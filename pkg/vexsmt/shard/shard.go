@@ -59,7 +59,8 @@ type Job struct {
 // exactly (erroring out rather than substituting their own), return sorted
 // ResultSets whose meta matches what a Service at that seed/scale would
 // stamp, and abort promptly when ctx is cancelled — the HTTP backend, for
-// example, propagates cancellation as a DELETE to its vexsmtd. An error
+// example, closes its results stream, which cancels the plan on its
+// vexsmtd. An error
 // wrapped with sched.Permanent marks a deterministic simulation failure
 // that every backend would reproduce; any other error is the backend's
 // fault and the scheduler retries the job elsewhere.

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -144,6 +145,61 @@ func httpBackends(t *testing.T, urls ...string) []shard.Backend {
 		out[i] = b
 	}
 	return out
+}
+
+// countingTransport counts requests by "METHOD path".
+type countingTransport struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.mu.Lock()
+	c.n[req.Method+" "+req.URL.Path]++
+	c.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+func (c *countingTransport) take() map[string]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := c.n
+	c.n = make(map[string]int)
+	return n
+}
+
+// TestCoordinatorOneRequestPerCell pins the protocol's cost: a coordinated
+// warm sweep of N cells sends exactly N requests besides its health
+// probes — one stream-form POST per cell, with no results GET and no
+// DELETE.
+func TestCoordinatorOneRequestPerCell(t *testing.T) {
+	plan := vexsmt.Plan{Figures: []string{"14"}}
+	ts := httptest.NewServer(server.New(testScale, 1, 4, server.WithCache(cache.NewMemory(0))).Handler())
+	defer ts.Close()
+	counts := &countingTransport{n: make(map[string]int)}
+	be, err := shard.NewHTTP(ts.URL, shard.WithClient(&http.Client{Transport: counts}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := shard.New(shard.Config{Scale: testScale, Seed: 1}, be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coord.Collect(context.Background(), plan); err != nil { // prime the cache
+		t.Fatal(err)
+	}
+	counts.take()
+	rs, err := coord.Collect(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := counts.take()
+	cells := len(rs.Cells)
+	if cells == 0 || got["POST /v1/plans"] != cells || got["GET /healthz"] == 0 ||
+		len(got) != 2 {
+		t.Fatalf("warm sweep of %d cells sent %v; want %d POST /v1/plans plus GET /healthz probes only",
+			cells, got, cells)
+	}
 }
 
 // failFirst wraps a backend and fails its first n Runs with a transient
@@ -292,8 +348,9 @@ func runningPlans(t *testing.T, baseURL string) int {
 }
 
 // TestCoordinatorCancelPropagatesDelete: cancelling a coordinated run must
-// reach the daemons as DELETEs — their running-plan counts drain to zero
-// promptly instead of simulating to completion.
+// reach the daemons — cancellation closes the stream — so their
+// running-plan counts drain to zero promptly instead of simulating to
+// completion.
 func TestCoordinatorCancelPropagatesDelete(t *testing.T) {
 	const slowScale = 50 // 4M instrs per cell: the grid cannot finish before the cancel lands
 	a := httptest.NewServer(server.New(slowScale, 1, 2).Handler())

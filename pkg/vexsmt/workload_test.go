@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"vexsmt/internal/isa"
@@ -200,8 +201,10 @@ func TestWorkloadCellsByteIdentical(t *testing.T) {
 	}
 }
 
-// newMapCache is a minimal in-memory CellCache for identity tests.
+// newMapCache is a minimal in-memory CellCache for identity tests. It is
+// safe for concurrent use, as a Service's workers share their cache.
 type mapCache struct {
+	mu    sync.Mutex
 	m     map[string][]byte
 	stats CacheStats
 }
@@ -209,6 +212,8 @@ type mapCache struct {
 func newMapCache() *mapCache { return &mapCache{m: make(map[string][]byte)} }
 
 func (c *mapCache) Get(key string) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	v, ok := c.m[key]
 	if ok {
 		c.stats.Hits++
@@ -219,11 +224,17 @@ func (c *mapCache) Get(key string) ([]byte, bool) {
 }
 
 func (c *mapCache) Put(key string, value []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.stats.Puts++
 	c.m[key] = append([]byte(nil), value...)
 }
 
-func (c *mapCache) Stats() CacheStats { return c.stats }
+func (c *mapCache) Stats() CacheStats {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.stats
+}
 
 func TestCacheKeyWorkloadAddressing(t *testing.T) {
 	meta := RunMeta{SchemaVersion: SchemaVersion, Seed: 1, Scale: 100}
