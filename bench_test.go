@@ -21,7 +21,6 @@ import (
 
 	"vexsmt/internal/cache"
 	"vexsmt/internal/core"
-	"vexsmt/internal/experiments"
 	"vexsmt/internal/isa"
 	"vexsmt/internal/rng"
 	"vexsmt/internal/sim"
@@ -61,6 +60,41 @@ func BenchmarkFigure13a(b *testing.B) {
 	}
 }
 
+// collectCells runs explicit cells through a fresh vexsmt.Service at
+// benchScale and returns their results keyed by cell.
+func collectCells(b *testing.B, cells []vexsmt.CellSpec) map[vexsmt.CellSpec]vexsmt.CellResult {
+	svc, err := vexsmt.New(vexsmt.WithScale(benchScale))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rs, err := svc.Collect(context.Background(), vexsmt.Plan{Cells: cells})
+	if err != nil {
+		b.Fatal(err)
+	}
+	out := make(map[vexsmt.CellSpec]vexsmt.CellResult, len(rs.Cells))
+	for _, c := range rs.Cells {
+		out[c.CellSpec] = c
+	}
+	return out
+}
+
+// seriesAvg measures one speedup series of Figures 14/15: the average
+// over the nine mixes of tech's speedup over base.
+func seriesAvg(b *testing.B, tech, base string, threads int) float64 {
+	var cells []vexsmt.CellSpec
+	for _, mix := range vexsmt.Mixes() {
+		cells = append(cells,
+			vexsmt.CellSpec{Mix: mix, Technique: tech, Threads: threads},
+			vexsmt.CellSpec{Mix: mix, Technique: base, Threads: threads})
+	}
+	res := collectCells(b, cells)
+	var sum float64
+	for i := 0; i < len(cells); i += 2 {
+		sum += vexsmt.SpeedupPct(res[cells[i]], res[cells[i+1]])
+	}
+	return sum / float64(len(cells)/2)
+}
+
 // BenchmarkFigure14 reproduces the CCSI-over-CSMT speedup series.
 func BenchmarkFigure14(b *testing.B) {
 	paper := map[string]float64{
@@ -72,12 +106,7 @@ func BenchmarkFigure14(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				var avg float64
 				for i := 0; i < b.N; i++ {
-					m := experiments.NewMatrix(benchScale, 1)
-					s, err := m.Speedups(context.Background(), core.CCSI(comm), core.CSMT(), threads)
-					if err != nil {
-						b.Fatal(err)
-					}
-					avg = s.Avg
+					avg = seriesAvg(b, core.CCSI(comm).Name(), "CSMT", threads)
 				}
 				b.ReportMetric(avg, "speedup-%")
 				b.ReportMetric(paper[name], "paper-%")
@@ -108,12 +137,7 @@ func BenchmarkFigure15(b *testing.B) {
 		b.Run(s.name, func(b *testing.B) {
 			var avg float64
 			for i := 0; i < b.N; i++ {
-				m := experiments.NewMatrix(benchScale, 1)
-				sp, err := m.Speedups(context.Background(), s.tech, core.SMT(), s.th)
-				if err != nil {
-					b.Fatal(err)
-				}
-				avg = sp.Avg
+				avg = seriesAvg(b, s.tech.Name(), "SMT", s.th)
 			}
 			b.ReportMetric(avg, "speedup-%")
 			b.ReportMetric(s.paper, "paper-%")
@@ -125,19 +149,18 @@ func BenchmarkFigure15(b *testing.B) {
 // techniques at 2 and 4 threads.
 func BenchmarkFigure16(b *testing.B) {
 	for _, threads := range []int{2, 4} {
-		for _, tech := range core.AllTechniques() {
-			name := map[int]string{2: "2T/", 4: "4T/"}[threads] + tech.Name()
+		for _, tech := range vexsmt.Techniques() {
+			name := map[int]string{2: "2T/", 4: "4T/"}[threads] + tech
 			b.Run(name, func(b *testing.B) {
 				var ipc float64
 				for i := 0; i < b.N; i++ {
-					m := experiments.NewMatrix(benchScale, 1)
+					var cells []vexsmt.CellSpec
+					for _, mix := range vexsmt.Mixes() {
+						cells = append(cells, vexsmt.CellSpec{Mix: mix, Technique: tech, Threads: threads})
+					}
 					var sum float64
-					for _, mix := range workload.Figure13b() {
-						r, err := m.Run(context.Background(), mix, tech, threads)
-						if err != nil {
-							b.Fatal(err)
-						}
-						sum += r.IPC()
+					for _, c := range collectCells(b, cells) {
+						sum += c.IPC
 					}
 					ipc = sum / 9
 				}
@@ -147,24 +170,23 @@ func BenchmarkFigure16(b *testing.B) {
 	}
 }
 
-// matrixBenchScale keeps one full-grid matrix iteration tractable.
+// matrixBenchScale keeps one full-grid iteration tractable.
 const matrixBenchScale = 8000
 
 // benchmarkMatrix runs the full deduplicated Figure 14+15+16 grid (144
-// cells) through the plan-then-execute engine at the given parallelism.
+// cells) through a fresh vexsmt.Service at the given parallelism.
 func benchmarkMatrix(b *testing.B, parallel int) {
-	plan, err := experiments.PlanFigures("14", "15", "16")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
+	cells := 0
 	for i := 0; i < b.N; i++ {
-		m := experiments.NewMatrix(matrixBenchScale, 1, experiments.WithParallelism(parallel))
-		if err := m.Prefetch(context.Background(), plan); err != nil {
+		svc, err := vexsmt.New(vexsmt.WithScale(matrixBenchScale), vexsmt.WithParallelism(parallel))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cells, err = svc.Prefetch(context.Background(), vexsmt.Plan{Figures: []string{"14", "15", "16"}}); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(plan.Len()*b.N)/b.Elapsed().Seconds(), "cells/s")
+	b.ReportMetric(float64(cells*b.N)/b.Elapsed().Seconds(), "cells/s")
 }
 
 // BenchmarkMatrixSerial is the single-worker baseline for the grid.

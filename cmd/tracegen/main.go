@@ -1,34 +1,33 @@
 // Command tracegen inspects the synthetic benchmark generators: it dumps
 // sample instructions, measures stream shape (ops/instruction, branch and
-// memory behaviour), reports single-thread IPC against the paper's
-// Figure 13(a) values, and records generator streams as VXT1 trace files
-// that the replay engine (internal/wstore) serves as first-class
-// workloads.
+// memory behaviour) and single-thread IPC, and records generator streams
+// as VXT1 trace files that the replay engine (internal/wstore) serves as
+// first-class workloads. The full Figure 13(a) table is
+// `paperbench -fig 13a`.
 //
 // Usage:
 //
 //	tracegen -bench colorspace -dump 20
 //	tracegen -bench mcf -measure 100000
-//	tracegen -table                      # full Figure 13(a) reproduction
-//	tracegen -table -scale 100           # longer, more accurate runs
 //	tracegen -bench fir -record 100000 -out fir.vxt
 //	tracegen -corpus traces/             # record every vector profile
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 
-	"vexsmt/internal/experiments"
 	"vexsmt/internal/isa"
-	"vexsmt/internal/report"
 	"vexsmt/internal/sim"
 	"vexsmt/internal/synth"
 	"vexsmt/internal/trace"
 )
+
+// ipcScale is the scale divisor of the single-thread IPC measurement,
+// the same 1/150 cap paperbench's Figure 13(a) uses.
+const ipcScale = 150
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -44,8 +43,6 @@ func run(args []string) error {
 		list    = fs.Bool("list", false, "list benchmark profiles (scalar and vector)")
 		dump    = fs.Int("dump", 0, "dump N sample instructions")
 		measure = fs.Int64("measure", 0, "measure stream shape over N instructions")
-		table   = fs.Bool("table", false, "reproduce the Figure 13(a) IPC table")
-		scale   = fs.Int64("scale", 150, "scale divisor for -table (1 = paper scale)")
 		record  = fs.Int("record", 0, "record N instructions of -bench to -out (also sizes -corpus traces)")
 		out     = fs.String("out", "", "output trace file for -record")
 		replay  = fs.String("replay", "", "replay a recorded trace file and print its shape")
@@ -113,14 +110,6 @@ func run(args []string) error {
 		}
 		return nil
 
-	case *table:
-		rows, err := experiments.Figure13a(context.Background(), *scale, 0)
-		if err != nil {
-			return err
-		}
-		fmt.Print(report.Figure13aTable(rows))
-		return nil
-
 	case *bench != "":
 		prof, ok := synth.ByName(*bench)
 		if !ok {
@@ -156,16 +145,16 @@ func run(args []string) error {
 		fmt.Printf("  taken frac  %.3f\n", sh.TakenFrac)
 		fmt.Printf("  mem/instr   %.3f\n", sh.MemPerInstr)
 		fmt.Printf("  comm frac   %.3f\n", sh.CommFrac)
-		ipcr, ipcp, err := sim.MeasuredIPC(prof, *scale)
+		ipcr, ipcp, err := sim.MeasuredIPC(prof, ipcScale)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  IPCr %.2f  IPCp %.2f (at 1/%d paper scale)\n", ipcr, ipcp, *scale)
+		fmt.Printf("  IPCr %.2f  IPCp %.2f (at 1/%d paper scale)\n", ipcr, ipcp, ipcScale)
 		return nil
 
 	default:
 		fs.Usage()
-		return fmt.Errorf("no mode selected (want -list, -bench, -table, -record, -replay or -corpus)")
+		return fmt.Errorf("no mode selected (want -list, -bench, -record, -replay or -corpus)")
 	}
 }
 

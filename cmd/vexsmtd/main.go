@@ -49,31 +49,34 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "vexsmtd:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("vexsmtd", flag.ContinueOnError)
 	var (
-		addr      = flag.String("addr", ":8080", "listen address (port 0 picks an ephemeral port)")
-		scale     = flag.Int64("scale", 100, "default scale divisor of paper scale")
-		seed      = flag.Uint64("seed", 1, "default simulation seed")
-		parallel  = flag.Int("parallel", runtime.GOMAXPROCS(0), "default max concurrent simulations per plan")
-		drain     = flag.Duration("drain", 10*time.Second, "graceful shutdown deadline for in-flight requests")
-		cacheOn   = flag.String("cache", "on", "result cache: on (content-addressed disk cache, shared across runs) or off")
-		cacheDir  = flag.String("cache-dir", "", "result cache directory (default: the user cache dir, e.g. ~/.cache/vexsmt)")
-		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty")
-		wlDir     = flag.String("workload-dir", "", "trace corpus directory (.vxt/.vex) served as plan workloads; empty disables the workload axis")
-		join      = flag.String("join", "", "fleet registry URL to register with (e.g. http://coordinator:9090); empty runs standalone")
-		name      = flag.String("name", "", "fleet member id (default: the advertised host:port)")
-		advertise = flag.String("advertise", "", "base URL peers reach this daemon at (default: derived from the bound listener)")
+		addr      = fs.String("addr", ":8080", "listen address (port 0 picks an ephemeral port)")
+		scale     = fs.Int64("scale", 100, "default scale divisor of paper scale")
+		seed      = fs.Uint64("seed", 1, "default simulation seed")
+		parallel  = fs.Int("parallel", runtime.GOMAXPROCS(0), "default max concurrent simulations per plan")
+		drain     = fs.Duration("drain", 10*time.Second, "graceful shutdown deadline for in-flight requests")
+		cacheOn   = fs.String("cache", "on", "result cache: on (content-addressed disk cache, shared across runs) or off")
+		cacheDir  = fs.String("cache-dir", "", "result cache directory (default: the user cache dir, e.g. ~/.cache/vexsmt)")
+		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty")
+		wlDir     = fs.String("workload-dir", "", "trace corpus directory (.vxt/.vex) served as plan workloads; empty disables the workload axis")
+		join      = fs.String("join", "", "fleet registry URL to register with (e.g. http://coordinator:9090); empty runs standalone")
+		name      = fs.String("name", "", "fleet member id (default: the advertised host:port)")
+		advertise = fs.String("advertise", "", "base URL peers reach this daemon at (default: derived from the bound listener)")
 
-		chaosSeed    = flag.Uint64("chaos-seed", 0, "fault-injection seed; the same seed and profile reproduce the identical fault schedule")
-		chaosProfile = flag.String("chaos-profile", "off", "fault-injection profile: off, light or heavy (wraps the result cache and the fleet client paths; results stay byte-identical)")
+		chaosSeed    = fs.Uint64("chaos-seed", 0, "fault-injection seed; the same seed and profile reproduce the identical fault schedule")
+		chaosProfile = fs.String("chaos-profile", "off", "fault-injection profile: off, light or heavy (wraps the result cache and the fleet client paths; results stay byte-identical)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	// Chaos wiring is strictly opt-in: with the profile off nothing is
 	// wrapped, so the fault layer costs zero when disabled.

@@ -4,14 +4,14 @@ import (
 	"fmt"
 
 	"vexsmt/internal/bpred"
-	"vexsmt/internal/experiments"
+	"vexsmt/internal/rng"
 )
 
 // CellSpec names one grid cell by its public identity, and is the one
 // place that identity is defined: CellResult embeds it, and every layer
 // that compares, orders, keys or names cells goes through the methods in
 // this file. A new axis is a new field here plus its lines in less,
-// String and keyFields.
+// String, keyFields and seed.
 //
 // Technique names are the paper's ("SMT", "CCSI AS", ...); mixes are
 // Figure 13(b) labels; predictor names come from internal/bpred
@@ -20,7 +20,10 @@ import (
 // (and their JSON) are identical to pre-predictor ones.
 //
 // CellSpec is comparable: == is cell identity, and a CellSpec is the key
-// of every per-cell map.
+// of every per-cell map. Inside a Service, from plan to simulator, cells
+// travel in canonical form: Predictor "" for static, Workload as the full
+// "name@sha256" reference, and Technique as its canonical name ("CCSI NS",
+// never the alias "CCSI").
 type CellSpec struct {
 	Mix       string `json:"mix"`
 	Technique string `json:"technique"`
@@ -60,15 +63,20 @@ func (c CellSpec) less(o CellSpec) bool {
 // label is the workload reference of a trace cell and the mix otherwise,
 // with "/predictor" appended for a modeled front end.
 func (c CellSpec) String() string {
-	label := c.Mix
-	if c.Workload != "" {
-		label = c.Workload
-	}
-	name := fmt.Sprintf("%s/%s/%dT", label, c.Technique, c.Threads)
+	name := fmt.Sprintf("%s/%s/%dT", c.label(), c.Technique, c.Threads)
 	if pred := internalPredictor(c.Predictor); pred != "" {
 		name += "/" + pred
 	}
 	return name
+}
+
+// label names the cell's workload: the trace reference of a trace cell,
+// the mix otherwise.
+func (c CellSpec) label() string {
+	if c.Workload != "" {
+		return c.Workload
+	}
+	return c.Mix
 }
 
 // PredictorName returns the cell's branch-predictor model in public
@@ -81,6 +89,24 @@ func (c CellSpec) PredictorName() string { return publicPredictor(c.Predictor) }
 func (c CellSpec) keyFields() string {
 	return fmt.Sprintf("mix=%s|tech=%s|threads=%d|pred=%s|wl=%s",
 		c.Mix, c.Technique, c.Threads, internalPredictor(c.Predictor), c.Workload)
+}
+
+// seed derives the deterministic seed of the canonical cell from the
+// base seed, splitmix-style from {base, label, threads}. The technique —
+// and the predictor, for the same reason — is deliberately excluded:
+// cfg.Seed drives the synthetic instruction streams and the
+// context-switch schedule, and the paper's speedup figures divide a
+// technique's IPC by its baseline's on the *same* workload — a
+// common-random-numbers pairing that small-scale runs need for
+// stability. Every technique (and predictor) of a (label, threads) pair
+// therefore shares one seed, so a predictor sweep measures front-end
+// effects against an identical instruction stream, while parallel and
+// serial execution stay bit-identical because each cell's simulator owns
+// its entire random stream. A trace cell's content reference plays the
+// mix label's role; it always contains '@' and a hex hash, so it can
+// never collide with a four-letter mix label.
+func (c CellSpec) seed(base uint64) uint64 {
+	return rng.DeriveSeed(base, rng.StringToken(c.label()), uint64(c.Threads))
 }
 
 // internalPredictor and publicPredictor are the predictor's two
@@ -99,16 +125,4 @@ func publicPredictor(pred string) string {
 		return bpred.Default
 	}
 	return pred
-}
-
-// cellSpecOf maps an internal cell back to its public spec: internal
-// spellings carry over verbatim (Pred "" = static, WL "" = synthetic).
-func cellSpecOf(c experiments.Cell) CellSpec {
-	return CellSpec{
-		Mix:       c.Mix.Label,
-		Technique: c.Tech.Name(),
-		Threads:   c.Threads,
-		Predictor: c.Pred,
-		Workload:  c.WL,
-	}
 }

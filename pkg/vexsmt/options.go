@@ -10,8 +10,8 @@ import (
 
 // Option configures a Service at construction time. All knobs are fixed
 // once New returns — there are no mutators, so a Service can be shared by
-// any number of goroutines and mid-run reconfiguration races (the old
-// Matrix.SetParallelism footgun) are impossible by construction.
+// any number of goroutines and mid-run reconfiguration races (a
+// SetParallelism-style mutator) are impossible by construction.
 type Option func(*Service) error
 
 // WithScale sets the scale divisor of paper scale: 1 simulates the paper's

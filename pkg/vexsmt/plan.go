@@ -7,7 +7,6 @@ import (
 
 	"vexsmt/internal/bpred"
 	"vexsmt/internal/core"
-	"vexsmt/internal/experiments"
 	"vexsmt/internal/workload"
 )
 
@@ -110,26 +109,92 @@ func canonPredictor(name string) (string, error) {
 }
 
 // mixTable returns the paper's nine mixes (internal type; used by
-// resolution and the Mixes accessor).
+// planning, series assembly and the Mixes accessor).
 func mixTable() []workload.Mix { return workload.Figure13b() }
 
-// resolve turns a public Plan into the internal deduplicated cell plan,
-// enforcing the service's technique and predictor sets. The figure/sweep
-// grid is crossed with the plan's Predictors axis (predictor-major, so
-// one model's full grid streams before the next begins and paired
-// comparisons complete early); explicit Cells carry their own Predictor
-// and are never crossed.
-func (s *Service) resolve(p Plan) (*experiments.Plan, error) {
-	grid, err := experiments.PlanFigures(p.Figures...)
-	if err != nil {
-		return nil, fmt.Errorf("vexsmt: %w", err)
+// paperThreads are the machine sizes every grid figure, sweep and trace
+// workload is evaluated at: the paper's 2- and 4-thread machines.
+var paperThreads = []int{2, 4}
+
+// speedupFigure is one of the paper's speedup figures: each series is a
+// technique's per-mix speedup over the figure's baseline, and series run
+// thread-major in techs order. The figure plans the baseline followed by
+// techs, so planning and series assembly read one list.
+type speedupFigure struct {
+	title    string
+	baseline core.Technique
+	techs    []core.Technique
+}
+
+var speedupFigures = map[string]speedupFigure{
+	"14": {"Figure 14: Cluster-level split-issue (CCSI) speedups over CSMT", core.CSMT(),
+		[]core.Technique{core.CCSI(core.CommNoSplit), core.CCSI(core.CommAlwaysSplit)}},
+	"15": {"Figure 15: COSI and OOSI speedups over SMT", core.SMT(),
+		[]core.Technique{
+			core.COSI(core.CommNoSplit), core.COSI(core.CommAlwaysSplit),
+			core.OOSI(core.CommNoSplit), core.OOSI(core.CommAlwaysSplit),
+		}},
+}
+
+// figureTechniques returns the techniques a figure's grid measures, in
+// plan order: a speedup figure's baseline and compared techniques, every
+// technique for Figure 16, and none for the 13a/13b tables.
+func figureTechniques(fig string) []core.Technique {
+	if f, ok := speedupFigures[fig]; ok {
+		return append([]core.Technique{f.baseline}, f.techs...)
 	}
-	if p.Sweep {
-		for _, threads := range []int{2, 4} {
-			for _, t := range s.techniques {
-				grid.AddMixSweep(t, threads)
+	if fig == "16" {
+		return core.AllTechniques()
+	}
+	return nil
+}
+
+// gridCells enumerates techs over the nine mixes at the paper's thread
+// counts, thread-major then technique then mix, with the static
+// predictor.
+func gridCells(techs []core.Technique) []CellSpec {
+	var out []CellSpec
+	for _, threads := range paperThreads {
+		for _, t := range techs {
+			for _, mix := range mixTable() {
+				out = append(out, CellSpec{Mix: mix.Label, Technique: t.Name(), Threads: threads})
 			}
 		}
+	}
+	return out
+}
+
+// planFigures validates a Plan's figure names and expands "all" exactly
+// as ParseFigures does: every name is checked before "all" is honored.
+func planFigures(names []string) ([]string, error) {
+	for _, f := range names {
+		if f != "all" && !slices.Contains(AllFigures(), f) {
+			return nil, fmt.Errorf("vexsmt: unknown figure %q (have %s, all)", f, strings.Join(AllFigures(), ", "))
+		}
+	}
+	if slices.Contains(names, "all") {
+		return AllFigures(), nil
+	}
+	return names, nil
+}
+
+// resolve turns a public Plan into its deduplicated canonical cells in
+// first-seen order, enforcing the service's technique and predictor
+// sets. The figure/sweep grid is crossed with the plan's Predictors axis
+// (predictor-major, so one model's full grid streams before the next
+// begins and paired comparisons complete early); explicit Cells carry
+// their own Predictor and are never crossed.
+func (s *Service) resolve(p Plan) ([]CellSpec, error) {
+	figs, err := planFigures(p.Figures)
+	if err != nil {
+		return nil, err
+	}
+	var grid []CellSpec
+	for _, f := range figs {
+		grid = append(grid, gridCells(figureTechniques(f))...)
+	}
+	if p.Sweep {
+		grid = append(grid, gridCells(s.techniques)...)
 	}
 	preds := p.Predictors
 	if len(preds) == 0 {
@@ -145,83 +210,93 @@ func (s *Service) resolve(p Plan) (*experiments.Plan, error) {
 		}
 		wlRefs = append(wlRefs, ref)
 	}
-	ip := experiments.NewPlan()
+	var cells []CellSpec
+	seen := make(map[CellSpec]bool)
+	add := func(c CellSpec) {
+		if !seen[c] {
+			seen[c] = true
+			cells = append(cells, c)
+		}
+	}
 	for _, name := range preds {
 		pred, err := canonPredictor(name)
 		if err != nil {
 			return nil, err
 		}
-		for _, c := range grid.Cells() {
-			c.Pred = pred
-			ip.Add(c)
+		for _, c := range grid {
+			c.Predictor = pred
+			add(c)
 		}
 		for _, ref := range wlRefs {
-			for _, threads := range []int{2, 4} {
+			for _, threads := range paperThreads {
 				for _, t := range s.techniques {
-					ip.Add(experiments.Cell{WL: ref, Tech: t, Threads: threads, Pred: pred})
+					add(CellSpec{Workload: ref, Technique: t.Name(), Threads: threads, Predictor: pred})
 				}
 			}
 		}
 	}
 	for _, spec := range p.Cells {
-		c, err := s.cell(spec)
+		c, err := s.canon(spec)
 		if err != nil {
 			return nil, err
 		}
-		ip.Add(c)
+		add(c)
 	}
-	for _, c := range ip.Cells() {
+	for _, c := range cells {
 		if err := s.admit(c); err != nil {
 			return nil, err
 		}
 	}
-	return ip, nil
+	return cells, nil
 }
 
-// cell validates one CellSpec against the public vocabulary and the
-// machine's limits. A spec names either a mix or a trace workload, never
-// both.
-func (s *Service) cell(spec CellSpec) (experiments.Cell, error) {
+// canon validates one CellSpec against the public vocabulary and the
+// machine's limits and returns its canonical form (see CellSpec). A spec
+// names either a mix or a trace workload, never both.
+func (s *Service) canon(spec CellSpec) (CellSpec, error) {
 	tech, err := core.ParseTechnique(spec.Technique)
 	if err != nil {
-		return experiments.Cell{}, fmt.Errorf("vexsmt: %w", err)
+		return CellSpec{}, fmt.Errorf("vexsmt: %w", err)
 	}
 	if spec.Threads < 1 || spec.Threads > core.MaxThreads {
-		return experiments.Cell{}, fmt.Errorf("vexsmt: thread count %d out of range [1,%d]",
+		return CellSpec{}, fmt.Errorf("vexsmt: thread count %d out of range [1,%d]",
 			spec.Threads, core.MaxThreads)
 	}
 	pred, err := canonPredictor(spec.Predictor)
 	if err != nil {
-		return experiments.Cell{}, err
+		return CellSpec{}, err
 	}
+	c := CellSpec{Technique: tech.Name(), Threads: spec.Threads, Predictor: pred}
 	if spec.Workload != "" {
 		if spec.Mix != "" {
-			return experiments.Cell{}, fmt.Errorf("vexsmt: cell names both mix %q and workload %q", spec.Mix, spec.Workload)
+			return CellSpec{}, fmt.Errorf("vexsmt: cell names both mix %q and workload %q", spec.Mix, spec.Workload)
 		}
-		ref, err := s.workloadRef(spec.Workload)
-		if err != nil {
-			return experiments.Cell{}, err
-		}
-		return experiments.Cell{WL: ref, Tech: tech, Threads: spec.Threads, Pred: pred}, nil
+		c.Workload, err = s.workloadRef(spec.Workload)
+		return c, err
 	}
 	mix, err := workload.MixByLabel(spec.Mix)
 	if err != nil {
-		return experiments.Cell{}, fmt.Errorf("vexsmt: %w", err)
+		return CellSpec{}, fmt.Errorf("vexsmt: %w", err)
 	}
-	return experiments.Cell{Mix: mix, Tech: tech, Threads: spec.Threads, Pred: pred}, nil
+	c.Mix = mix.Label
+	return c, nil
 }
 
 // admit enforces the service's technique and predictor sets on one
-// resolved cell. resolve and RunCell share it, so a plan and a single
+// canonical cell. resolve and RunCell share it, so a plan and a single
 // cell are admitted alike.
-func (s *Service) admit(c experiments.Cell) error {
-	if !s.allowed(c.Tech) {
-		return fmt.Errorf("vexsmt: technique %s not enabled on this service (WithTechniques)", c.Tech.Name())
+func (s *Service) admit(c CellSpec) error {
+	if !s.allowed(c.Technique) {
+		return fmt.Errorf("vexsmt: technique %s not enabled on this service (WithTechniques)", c.Technique)
 	}
-	if !slices.Contains(s.predictors, publicPredictor(c.Pred)) {
-		return fmt.Errorf("vexsmt: predictor %s not enabled on this service (WithPredictors)", publicPredictor(c.Pred))
+	if !slices.Contains(s.predictors, publicPredictor(c.Predictor)) {
+		return fmt.Errorf("vexsmt: predictor %s not enabled on this service (WithPredictors)", publicPredictor(c.Predictor))
 	}
 	return nil
 }
 
-func (s *Service) allowed(t core.Technique) bool { return slices.Contains(s.techniques, t) }
+// allowed reports whether the canonically named technique is in the
+// service's set.
+func (s *Service) allowed(name string) bool {
+	return slices.ContainsFunc(s.techniques, func(t core.Technique) bool { return t.Name() == name })
+}

@@ -1,5 +1,5 @@
 // Package sched is the cell-level scheduling core shared by the local
-// execution path (internal/experiments, pkg/vexsmt) and the distributed
+// execution path (the pkg/vexsmt Service) and the distributed
 // coordinator (pkg/vexsmt/shard). It replaces the two parallel fan-out
 // implementations that used to live in those layers — a worker pool over
 // grid indices and a shard-level placement loop — with one work-stealing

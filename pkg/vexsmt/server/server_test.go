@@ -480,3 +480,29 @@ func TestCancelJobsDrainsRunningPlans(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitAllFigures: the plan vocabulary's "all" is accepted by the
+// submit endpoint (the whole 144-cell grid), and a typo beside it is
+// still a 400.
+func TestSubmitAllFigures(t *testing.T) {
+	ts := testServer()
+	defer ts.Close()
+
+	id := postPlan(t, ts, `{"figures":["all"]}`)
+	if res := getResults(t, ts, id); res.Cells != 144 {
+		t.Fatalf(`{"figures":["all"]} planned %d cells, want 144`, res.Cells)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/plans?id="+id, nil)
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		resp.Body.Close()
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/plans", "application/json", strings.NewReader(`{"figures":["all","bogus"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf(`{"figures":["all","bogus"]}: status %d, want 400`, resp.StatusCode)
+	}
+}

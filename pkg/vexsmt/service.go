@@ -2,22 +2,37 @@ package vexsmt
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"vexsmt/internal/bpred"
 	"vexsmt/internal/core"
-	"vexsmt/internal/experiments"
+	"vexsmt/internal/sim"
 	"vexsmt/internal/stats"
+	"vexsmt/internal/synth"
 	"vexsmt/internal/workload"
 	"vexsmt/internal/wstore"
+	"vexsmt/pkg/vexsmt/sched"
 )
 
 // Service is the façade over the simulation stack: a memoizing, concurrent
-// experiment matrix plus the plan vocabulary and the results schema. A
-// Service is immutable after New and safe for concurrent use; results are
-// memoized per cell, so overlapping plans share simulations.
+// cell engine plus the plan vocabulary and the results schema. A Service
+// is immutable after New and safe for concurrent use; results are
+// memoized per canonical cell, so overlapping plans share simulations.
+//
+// Concurrent requests for the same cell resolve it exactly once
+// (singleflight), and every cell draws its random stream from a seed
+// derived purely from the cell's workload identity (CellSpec.seed), so
+// results are bit-identical no matter how many workers run a plan or in
+// what order. A cell that aborts on cancellation is forgotten rather than
+// memoized, so a later call with a live context re-simulates it. The
+// worker pool is pkg/vexsmt/sched — the same cell-level scheduler the
+// distributed coordinator uses — with the service as its single backend.
 type Service struct {
 	scale      int64
 	seed       uint64
@@ -30,7 +45,18 @@ type Service struct {
 	wl          *wstore.Store // trace store; the process-global one unless a test injects its own
 	wlRefs      []string      // sorted "name@sha256" references loaded from workloadDir
 
-	m *experiments.Matrix
+	sims atomic.Int64 // simulator runs actually performed (cache hits excluded)
+
+	mu    sync.Mutex
+	cells map[CellSpec]*cellCall
+}
+
+// cellCall is one memoized resolution: done closes when run/err are final.
+type cellCall struct {
+	done   chan struct{}
+	run    *stats.Run
+	cached bool // recalled from the CellCache rather than simulated
+	err    error
 }
 
 // New builds a Service. Defaults: 1/100 paper scale, seed 1, GOMAXPROCS
@@ -42,6 +68,7 @@ func New(opts ...Option) (*Service, error) {
 		parallel:   runtime.GOMAXPROCS(0),
 		techniques: core.AllTechniques(),
 		predictors: bpred.Names(),
+		cells:      make(map[CellSpec]*cellCall),
 	}
 	for _, o := range opts {
 		if err := o(s); err != nil {
@@ -61,20 +88,6 @@ func New(opts ...Option) (*Service, error) {
 			s.wlRefs[i] = t.Ref()
 		}
 	}
-	mopts := []experiments.MatrixOption{
-		experiments.WithParallelism(s.parallel),
-		experiments.WithWorkloadStore(s.wl),
-	}
-	if s.cache != nil {
-		// The key closes over the service's meta: every cell of this
-		// service shares the (schema, seed, scale) prefix, and CacheKey
-		// ignores the meta fields that cannot change results.
-		meta := s.Meta()
-		mopts = append(mopts, experiments.WithResultCache(s.cache, func(c experiments.Cell) string {
-			return CacheKey(meta, cellSpecOf(c))
-		}))
-	}
-	s.m = experiments.NewMatrix(s.scale, s.seed, mopts...)
 	return s, nil
 }
 
@@ -159,11 +172,15 @@ func (s *Service) Meta() RunMeta {
 
 // CellsSimulated returns how many distinct cells the service has resolved
 // (simulated or recalled from cache, including in-flight) so far.
-func (s *Service) CellsSimulated() int { return s.m.Cells() }
+func (s *Service) CellsSimulated() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.cells)
+}
 
 // SimulationsRun returns how many simulator runs the service has actually
 // performed — cache hits are excluded, so a fully warm sweep reports 0.
-func (s *Service) SimulationsRun() int64 { return s.m.Simulations() }
+func (s *Service) SimulationsRun() int64 { return s.sims.Load() }
 
 // CacheStats returns the attached result cache's counters, or zeros when
 // the service has no cache (WithCache was not used).
@@ -174,9 +191,9 @@ func (s *Service) CacheStats() CacheStats {
 	return s.cache.Stats()
 }
 
-// cellResult converts one internal outcome to the schema type.
-func (s *Service) cellResult(c experiments.Cell, r *stats.Run, cached bool, err error) CellResult {
-	out := CellResult{CellSpec: cellSpecOf(c), Seed: s.m.CellSeed(c)}
+// cellResult builds the schema type for one canonical cell's outcome.
+func (s *Service) cellResult(c CellSpec, r *stats.Run, cached bool, err error) CellResult {
+	out := CellResult{CellSpec: c, Seed: c.seed(s.seed)}
 	if err != nil {
 		out.Err = err.Error()
 		return out
@@ -192,28 +209,159 @@ func (s *Service) cellResult(c experiments.Cell, r *stats.Run, cached bool, err 
 // two RunCell results reproduces the paper's common-random-numbers
 // speedup arithmetic (see SpeedupPct).
 func (s *Service) RunCell(ctx context.Context, spec CellSpec) (CellResult, error) {
-	c, err := s.cell(spec)
+	c, err := s.canon(spec)
 	if err != nil {
 		return CellResult{}, err
 	}
 	if err := s.admit(c); err != nil {
 		return CellResult{}, err
 	}
-	r, cached, err := s.m.RunCellInfo(ctx, c)
-	if err != nil {
-		return s.cellResult(c, nil, false, err), err
+	r, cached, err := s.run(ctx, c)
+	return s.cellResult(c, r, cached, err), err
+}
+
+// run returns the memoized run of one canonical cell, resolving it on
+// first use, and reports whether it was recalled from the cache rather
+// than simulated (a memoized cell reports however it was first
+// resolved). Concurrent callers of the same cell share one resolution. A
+// waiter piggy-backing on a leader that was cancelled does not inherit
+// the foreign context error: if its own context is still live it becomes
+// (or joins) the next leader and the cell resolves again — one plan's
+// cancellation never poisons another plan sharing cells on the same
+// service.
+func (s *Service) run(ctx context.Context, c CellSpec) (*stats.Run, bool, error) {
+	for {
+		s.mu.Lock()
+		if call, ok := s.cells[c]; ok {
+			s.mu.Unlock()
+			select {
+			case <-call.done:
+				if call.err != nil && isCtxErr(call.err) && ctx.Err() == nil {
+					continue // leader cancelled, we are live: retry
+				}
+				return call.run, call.cached, call.err
+			case <-ctx.Done():
+				return nil, false, ctx.Err()
+			}
+		}
+		call := &cellCall{done: make(chan struct{})}
+		s.cells[c] = call
+		s.mu.Unlock()
+
+		call.run, call.cached, call.err = s.fetchOrSimulate(ctx, c)
+		if call.err != nil && ctx.Err() != nil {
+			// Cancelled, not failed: drop the memo so a retry re-simulates.
+			s.mu.Lock()
+			delete(s.cells, c)
+			s.mu.Unlock()
+		}
+		close(call.done)
+		return call.run, call.cached, call.err
 	}
-	return s.cellResult(c, r, cached, nil), nil
+}
+
+// isCtxErr reports whether err stems from context cancellation or
+// deadline expiry (possibly wrapped by simulate).
+func isCtxErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// fetchOrSimulate resolves one cell: cache first, simulator on a miss,
+// populating the cache on the way out. Payloads are the JSON encoding of
+// stats.Run — all-integer counters, so the round trip is exact and a
+// cached cell is bit-identical to a simulated one. A cache entry that
+// fails to decode (foreign payload behind a valid checksum) degrades to
+// a miss.
+func (s *Service) fetchOrSimulate(ctx context.Context, c CellSpec) (*stats.Run, bool, error) {
+	var key string
+	if s.cache != nil {
+		// Every cell of this service shares the (schema, seed, scale)
+		// prefix; CacheKey ignores the meta fields that cannot change
+		// results.
+		key = CacheKey(RunMeta{SchemaVersion: SchemaVersion, Seed: s.seed, Scale: s.scale}, c)
+		if b, ok := s.cache.Get(key); ok {
+			var r stats.Run
+			if err := json.Unmarshal(b, &r); err == nil {
+				return &r, true, nil
+			}
+		}
+	}
+	r, err := s.simulate(ctx, c)
+	if err != nil {
+		return nil, false, err
+	}
+	if s.cache != nil {
+		if b, err := json.Marshal(r); err == nil {
+			s.cache.Put(key, b)
+		}
+	}
+	return r, false, nil
+}
+
+// simulate runs one canonical cell from scratch. It touches no Service
+// state beyond the immutable configuration and the simulation counter,
+// so any number of cells may simulate at once.
+func (s *Service) simulate(ctx context.Context, c CellSpec) (*stats.Run, error) {
+	tech, err := core.ParseTechnique(c.Technique)
+	if err != nil {
+		return nil, err
+	}
+	cfg := sim.DefaultConfig(tech, c.Threads).WithScale(s.scale)
+	cfg.Seed = c.seed(s.seed)
+	cfg.Predictor = c.Predictor
+	var sm *sim.Simulator
+	if c.Workload != "" {
+		sm, err = s.newTraceSim(cfg, c)
+	} else {
+		var mix workload.Mix
+		var profs []synth.Profile
+		if mix, err = workload.MixByLabel(c.Mix); err != nil {
+			return nil, err
+		}
+		if profs, err = mix.Profiles(); err != nil {
+			return nil, err
+		}
+		sm, err = sim.NewWorkload(cfg, profs)
+	}
+	if err != nil {
+		return nil, err
+	}
+	r, err := sm.RunContext(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("vexsmt: %s: %w", c, err)
+	}
+	// Counted on completion only, so a cancelled attempt that re-simulates
+	// later doesn't double-count and SimulationsRun means what it says.
+	s.sims.Add(1)
+	return r, nil
+}
+
+// newTraceSim builds a simulator whose every hardware context replays the
+// cell's trace workload from the shared wstore arena: one zero-copy cursor
+// per context, no decoding, no per-cell copies. The simulator's own seed
+// (context-switch schedule, cache state) still derives from the cell, so
+// trace cells are exactly as deterministic as synthetic ones.
+func (s *Service) newTraceSim(cfg sim.Config, c CellSpec) (*sim.Simulator, error) {
+	tr, ok := s.wl.Resolve(c.Workload)
+	if !ok {
+		return nil, fmt.Errorf("vexsmt: workload %q is not loaded in this process", c.Workload)
+	}
+	jobs := make([]*sim.Job, c.Threads)
+	for i := range jobs {
+		r, err := tr.NewReplayer()
+		if err != nil {
+			return nil, err
+		}
+		jobs[i] = sim.NewJob(r, cfg.ScaleDiv)
+	}
+	return sim.New(cfg, jobs)
 }
 
 // PlanSize resolves a plan and returns how many unique grid cells it
 // simulates, without running anything.
 func (s *Service) PlanSize(p Plan) (int, error) {
-	ip, err := s.resolve(p)
-	if err != nil {
-		return 0, err
-	}
-	return ip.Len(), nil
+	cells, err := s.resolve(p)
+	return len(cells), err
 }
 
 // PlanCells resolves a plan and returns its unique grid cells as public
@@ -221,29 +369,53 @@ func (s *Service) PlanSize(p Plan) (int, error) {
 // unit of distributed execution: a coordinator partitions exactly this
 // list, and the union of the parts is exactly what Collect would simulate.
 func (s *Service) PlanCells(p Plan) ([]CellSpec, error) {
-	ip, err := s.resolve(p)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]CellSpec, 0, ip.Len())
-	for _, c := range ip.Cells() {
-		out = append(out, cellSpecOf(c))
-	}
-	return out, nil
+	return s.resolve(p)
 }
 
 // Prefetch simulates every cell of a plan behind a barrier and returns the
 // number of unique cells. Figure rendering after a successful Prefetch
 // only reads memoized results. For progress observation use Stream.
 func (s *Service) Prefetch(ctx context.Context, p Plan) (int, error) {
-	ip, err := s.resolve(p)
+	cells, err := s.resolve(p)
 	if err != nil {
 		return 0, err
 	}
-	if err := s.m.Prefetch(ctx, ip); err != nil {
-		return ip.Len(), err
+	return len(cells), s.prefetch(ctx, cells)
+}
+
+// prefetch resolves every cell over the scheduler and returns the first
+// error. Plain cell errors do not stop the sweep — cells are independent,
+// and finishing keeps the memo warm for whoever retries — but cancelling
+// ctx stops dispatching and drains the workers.
+func (s *Service) prefetch(ctx context.Context, cells []CellSpec) error {
+	var first error
+	for r := range s.stream(ctx, cells) {
+		if r.Err != nil && first == nil {
+			first = r.Err
+		}
 	}
-	return ip.Len(), nil
+	if err := ctx.Err(); err != nil && first == nil {
+		first = err
+	}
+	return first
+}
+
+// stream resolves cells over the cell scheduler (with this service as
+// the single backend at the configured parallelism) and delivers each
+// outcome as it completes. Cell failures are deterministic — the seed
+// travels with the cell — so a retry would reproduce them; they are
+// final on the first attempt.
+func (s *Service) stream(ctx context.Context, cells []CellSpec) <-chan sched.Result[CellSpec, CellResult] {
+	backend := sched.NewFunc("service", s.parallel, func(ctx context.Context, c CellSpec) (CellResult, error) {
+		r, cached, err := s.run(ctx, c)
+		if err != nil {
+			return CellResult{}, sched.Permanent(err)
+		}
+		return s.cellResult(c, r, cached, nil), nil
+	})
+	// Run rejects only an empty backend list, and there is one.
+	ch, _ := sched.Run(ctx, cells, []sched.Backend[CellSpec, CellResult]{backend}, sched.Options{})
+	return ch
 }
 
 // Stream resolves a plan and simulates it over the worker pool, delivering
@@ -260,18 +432,23 @@ func (s *Service) Prefetch(ctx context.Context, p Plan) (int, error) {
 // Either drain the channel or cancel ctx: abandoning the channel while
 // ctx stays live blocks the delivery goroutine and its worker pool.
 func (s *Service) Stream(ctx context.Context, p Plan) (<-chan CellResult, error) {
-	ip, err := s.resolve(p)
+	cells, err := s.resolve(p)
 	if err != nil {
 		return nil, err
 	}
+	ch := s.stream(ctx, cells)
 	out := make(chan CellResult)
 	go func() {
 		defer close(out)
-		for o := range s.m.Stream(ctx, ip) {
+		for r := range ch {
+			res := r.Value
+			if r.Err != nil {
+				res = s.cellResult(r.Item, nil, false, r.Err)
+			}
 			select {
-			case out <- s.cellResult(o.Cell, o.Run, o.Cached, o.Err):
+			case out <- res:
 			case <-ctx.Done():
-				// Keep draining so the inner stream's workers unwind.
+				// Keep draining so the scheduler's workers unwind.
 			}
 		}
 	}()
@@ -312,33 +489,46 @@ func (s *Service) Collect(ctx context.Context, p Plan) (*ResultSet, error) {
 	return rs, nil
 }
 
-// fig13aRows is the single implementation behind Figure13a and
-// RenderFigure("13a"): scales finer than 1/150 (e.g. full paper scale)
+// Figure13a measures the paper's single-thread benchmark characterization
+// with real and perfect memory, one benchmark per worker, rows in the
+// paper's table order. Scales finer than 1/150 (e.g. full paper scale)
 // are capped at 1/150 — the characterization is stable there, and finer
 // scales only add cost.
-func (s *Service) fig13aRows(ctx context.Context) ([]experiments.Fig13Row, error) {
-	return experiments.Figure13a(ctx, max(s.scale, 150), s.parallel)
-}
-
-// Figure13a measures the paper's single-thread benchmark characterization
-// (see fig13aRows for the scale cap).
 func (s *Service) Figure13a(ctx context.Context) ([]Fig13Row, error) {
-	rows, err := s.fig13aRows(ctx)
+	paper := workload.PaperFigure13a()
+	rows := make([]Fig13Row, len(paper))
+	err := sched.ForEach(ctx, s.parallel, len(paper), func(i int) error {
+		pr := paper[i]
+		prof, ok := synth.ByName(pr.Name)
+		if !ok {
+			return fmt.Errorf("vexsmt: no profile for %s", pr.Name)
+		}
+		ipcr, ipcp, err := sim.MeasuredIPC(prof, max(s.scale, 150))
+		if err != nil {
+			return err
+		}
+		rows[i] = Fig13Row{
+			Name: pr.Name, Class: pr.Class.String(),
+			PaperIPCr: pr.IPCr, PaperIPCp: pr.IPCp,
+			IPCr: ipcr, IPCp: ipcp,
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Fig13Row, len(rows))
-	for i, r := range rows {
-		out[i] = Fig13Row{
-			Name:      r.Name,
-			Class:     string(rune(r.Class)),
-			PaperIPCr: r.PaperIPCr,
-			PaperIPCp: r.PaperIPCp,
-			IPCr:      r.IPCr,
-			IPCp:      r.IPCp,
-		}
+	return rows, nil
+}
+
+// prefetchFigure resolves one grid figure's plan, which enforces the
+// service's technique set, and simulates it, so figure assembly only
+// reads memoized cells.
+func (s *Service) prefetchFigure(ctx context.Context, fig string) error {
+	cells, err := s.resolve(Plan{Figures: []string{fig}})
+	if err != nil {
+		return err
 	}
-	return out, nil
+	return s.prefetch(ctx, cells)
 }
 
 // Figure14 computes the paper's Figure 14 series (CCSI over CSMT). Like
@@ -346,65 +536,92 @@ func (s *Service) Figure13a(ctx context.Context) ([]Fig13Row, error) {
 // scoped service fails up front instead of silently simulating disabled
 // techniques.
 func (s *Service) Figure14(ctx context.Context) ([]FigureSeries, error) {
-	if _, err := s.resolve(Plan{Figures: []string{"14"}}); err != nil {
-		return nil, err
-	}
-	series, err := s.m.Figure14(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return publicSeries(series), nil
+	return s.speedupFigure(ctx, "14")
 }
 
 // Figure15 computes the paper's Figure 15 series (COSI/OOSI over SMT),
 // enforcing the service's technique set.
 func (s *Service) Figure15(ctx context.Context) ([]FigureSeries, error) {
-	if _, err := s.resolve(Plan{Figures: []string{"15"}}); err != nil {
-		return nil, err
-	}
-	series, err := s.m.Figure15(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return publicSeries(series), nil
+	return s.speedupFigure(ctx, "15")
 }
 
-// Figure16 computes the paper's Figure 16 points (absolute IPC of every
-// technique), enforcing the service's technique set.
-func (s *Service) Figure16(ctx context.Context) ([]IPCPoint, error) {
-	if _, err := s.resolve(Plan{Figures: []string{"16"}}); err != nil {
+// speedupFigure computes every series of one speedup figure (see
+// speedupFigures), thread-major in the figure's technique order.
+func (s *Service) speedupFigure(ctx context.Context, fig string) ([]FigureSeries, error) {
+	if err := s.prefetchFigure(ctx, fig); err != nil {
 		return nil, err
 	}
-	points, err := s.m.Figure16(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]IPCPoint, len(points))
-	for i, p := range points {
-		out[i] = IPCPoint{Technique: p.Tech.Name(), Threads: p.Threads, IPC: p.IPC}
+	f := speedupFigures[fig]
+	var out []FigureSeries
+	for _, threads := range paperThreads {
+		for _, tech := range f.techs {
+			series, err := s.speedups(ctx, tech, f.baseline, threads)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, series)
+		}
 	}
 	return out, nil
 }
 
-func publicSeries(series []experiments.SpeedupSeries) []FigureSeries {
-	out := make([]FigureSeries, len(series))
-	for i, ss := range series {
-		out[i] = FigureSeries{
-			Label:     ss.Label,
-			Technique: ss.Tech.Name(),
-			Baseline:  ss.Baseline.Name(),
-			Threads:   ss.Threads,
-			Workloads: append([]string(nil), ss.Workloads...),
-			Pct:       append([]float64(nil), ss.Pct...),
-			Avg:       ss.Avg,
-		}
+// speedups computes one series across all nine mixes from the memoized
+// cells: each mix's speedup of tech over baseline, and their average.
+func (s *Service) speedups(ctx context.Context, tech, baseline core.Technique, threads int) (FigureSeries, error) {
+	fs := FigureSeries{
+		Label:     fmt.Sprintf("%s over %s, %d-Thread", tech.Name(), baseline.Name(), threads),
+		Technique: tech.Name(), Baseline: baseline.Name(), Threads: threads,
 	}
-	return out
+	var sum float64
+	for _, mix := range mixTable() {
+		rt, _, err := s.run(ctx, CellSpec{Mix: mix.Label, Technique: tech.Name(), Threads: threads})
+		if err != nil {
+			return fs, err
+		}
+		rb, _, err := s.run(ctx, CellSpec{Mix: mix.Label, Technique: baseline.Name(), Threads: threads})
+		if err != nil {
+			return fs, err
+		}
+		pct := stats.SpeedupPct(rt, rb)
+		fs.Workloads = append(fs.Workloads, mix.Label)
+		fs.Pct = append(fs.Pct, pct)
+		sum += pct
+	}
+	fs.Avg = sum / float64(len(fs.Pct))
+	return fs, nil
 }
 
-// ThreadScaling measures one mix under one technique across thread counts,
-// all points sharing the service seed so the curve isolates the
-// thread-count effect.
+// Figure16 computes the paper's Figure 16 points (absolute IPC of every
+// technique averaged over the nine mixes) in the paper's presentation
+// order, enforcing the service's technique set.
+func (s *Service) Figure16(ctx context.Context) ([]IPCPoint, error) {
+	if err := s.prefetchFigure(ctx, "16"); err != nil {
+		return nil, err
+	}
+	var out []IPCPoint
+	for _, threads := range paperThreads {
+		for _, tech := range figureTechniques("16") {
+			var sum float64
+			for _, mix := range mixTable() {
+				r, _, err := s.run(ctx, CellSpec{Mix: mix.Label, Technique: tech.Name(), Threads: threads})
+				if err != nil {
+					return nil, err
+				}
+				sum += r.IPC()
+			}
+			out = append(out, IPCPoint{Technique: tech.Name(), Threads: threads,
+				IPC: sum / float64(len(mixTable()))})
+		}
+	}
+	return out, nil
+}
+
+// ThreadScaling measures one mix under one technique across thread counts
+// (not a paper figure; it supports the Section I motivation). Points run
+// concurrently and all share the service seed, so every point sees
+// identical workload streams and the curve isolates the thread-count
+// effect (each point's simulator owns its random stream, so sharing the
+// seed is parallel-safe).
 func (s *Service) ThreadScaling(ctx context.Context, mixLabel, technique string, threadCounts []int) ([]ScalePoint, error) {
 	mix, err := workload.MixByLabel(mixLabel)
 	if err != nil {
@@ -414,16 +631,30 @@ func (s *Service) ThreadScaling(ctx context.Context, mixLabel, technique string,
 	if err != nil {
 		return nil, fmt.Errorf("vexsmt: %w", err)
 	}
-	if !s.allowed(tech) {
+	if !s.allowed(tech.Name()) {
 		return nil, fmt.Errorf("vexsmt: technique %s not enabled on this service (WithTechniques)", tech.Name())
 	}
-	points, err := experiments.ThreadScaling(ctx, mix, tech, threadCounts, s.scale, s.seed, s.parallel)
+	profs, err := mix.Profiles()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]ScalePoint, len(points))
-	for i, p := range points {
-		out[i] = ScalePoint{Threads: p.Threads, IPC: p.IPC}
+	out := make([]ScalePoint, len(threadCounts))
+	err = sched.ForEach(ctx, s.parallel, len(threadCounts), func(i int) error {
+		cfg := sim.DefaultConfig(tech, threadCounts[i]).WithScale(s.scale)
+		cfg.Seed = s.seed
+		sm, err := sim.NewWorkload(cfg, profs)
+		if err != nil {
+			return err
+		}
+		r, err := sm.RunContext(ctx)
+		if err != nil {
+			return err
+		}
+		out[i] = ScalePoint{Threads: threadCounts[i], IPC: r.IPC()}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -99,6 +99,30 @@ func TestPlanVocabulary(t *testing.T) {
 	}
 }
 
+// TestPlanFiguresAll: a Plan accepts "all" exactly as ParseFigures does —
+// the full paper grid, with every other name still validated.
+func TestPlanFiguresAll(t *testing.T) {
+	svc := testService(t)
+	n, err := svc.PlanSize(Plan{Figures: []string{"all"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := svc.PlanSize(Plan{Figures: AllFigures()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 144 || n != want {
+		t.Fatalf(`"all" plans %d cells, AllFigures() %d; want 144`, n, want)
+	}
+	_, err = svc.PlanSize(Plan{Figures: []string{"all", "bogus"}})
+	if err == nil {
+		t.Fatal(`"all","bogus" accepted`)
+	}
+	if strings.Contains(err.Error(), "experiments") {
+		t.Fatalf("error names an internal package: %v", err)
+	}
+}
+
 func TestParseFigures(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
