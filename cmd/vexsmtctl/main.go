@@ -357,7 +357,7 @@ func runCoordinator(ctx context.Context, addr string, ttl time.Duration) error {
 		return err
 	}
 	fmt.Printf("vexsmtctl coordinator listening on %s (lease %s, heartbeat %s)\n", ln.Addr(), ttl, interval)
-	hs := &http.Server{Handler: mux}
+	hs := newHTTPServer(mux)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {
@@ -368,6 +368,16 @@ func runCoordinator(ctx context.Context, addr string, ttl time.Duration) error {
 	shctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	return hs.Shutdown(shctx)
+}
+
+// newHTTPServer wraps h in the coordinator's http.Server. A client gets
+// resilience.Default's attempt budget to finish its request headers and
+// to hold an idle keep-alive connection; there is deliberately no write
+// timeout, because an NDJSON results stream stays open as long as its
+// plan runs.
+func newHTTPServer(h http.Handler) *http.Server {
+	budget := resilience.Default().AttemptTimeout
+	return &http.Server{Handler: h, ReadHeaderTimeout: budget, IdleTimeout: budget}
 }
 
 // printFleetStatus renders the registry's member table.

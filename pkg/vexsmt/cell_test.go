@@ -1,7 +1,6 @@
 package vexsmt
 
 import (
-	"context"
 	"strings"
 	"testing"
 )
@@ -49,22 +48,5 @@ func TestCellSpecString(t *testing.T) {
 		if got := tc.spec.String(); got != tc.want {
 			t.Errorf("%+v: String() = %q, want %q", tc.spec, got, tc.want)
 		}
-	}
-}
-
-// TestRunCellEnforcesWithPredictors: RunCell is admitted like a plan, so
-// a service scoped to the static front end refuses a tage cell instead
-// of simulating it.
-func TestRunCellEnforcesWithPredictors(t *testing.T) {
-	svc := testService(t, WithPredictors("static"))
-	_, err := svc.RunCell(context.Background(), CellSpec{Mix: "llll", Technique: "SMT", Threads: 2, Predictor: "tage"})
-	if err == nil {
-		t.Fatal("disabled predictor accepted via RunCell")
-	}
-	if !strings.Contains(err.Error(), "predictor tage not enabled") {
-		t.Fatalf("wrong error: %v", err)
-	}
-	if n := svc.SimulationsRun(); n != 0 {
-		t.Fatalf("refused cell still ran %d simulations", n)
 	}
 }

@@ -85,7 +85,7 @@ const CacheEpoch = 3
 // schema version, the simulator behavior epoch (CacheEpoch), the base
 // seed, the scale divisor, and the cell identity (mix, technique,
 // threads, predictor, workload reference) — and nothing that does not
-// (parallelism, the service's enabled-technique set, shard placement).
+// (parallelism, the technique list in RunMeta, shard placement).
 // Two runs agreeing on those inputs may share each other's cache entries
 // no matter which process, machine or thread count produced them; bumping
 // SchemaVersion or CacheEpoch invalidates every prior entry at once,

@@ -14,7 +14,7 @@
 //	)
 //
 // Work is described by a Plan — named paper figures, explicit cells, or a
-// sweep of the service's technique set — and executed either as a blocking
+// sweep of every technique — and executed either as a blocking
 // batch (Collect) or as a stream that yields each cell the moment its
 // simulation completes:
 //

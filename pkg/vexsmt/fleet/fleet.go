@@ -13,8 +13,8 @@
 // fleet-mode sweep exports byte-identically to a single-process run of
 // the same plan, seed and scale.
 //
-// The registry is an http.Handler (mount it on any daemon with
-// server.WithFleet, or serve it standalone from vexsmtctl -coordinator);
+// The registry is an http.Handler (serve it standalone from vexsmtctl
+// -coordinator, or beside a daemon's routes on one mux);
 // membership state lives in that one process. Losing it costs
 // coordination, not results: running sweeps finish on the members they
 // resolved, and daemons re-register as soon as a registry is back.

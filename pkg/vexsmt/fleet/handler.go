@@ -22,7 +22,7 @@ type registerResponse struct {
 //	GET    /v1/fleet/members        live member list
 //
 // Paths are absolute, so the same handler serves both mounted on a
-// daemon (server.WithFleet) and standalone (vexsmtctl -coordinator).
+// daemon's mux and standalone (vexsmtctl -coordinator).
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/fleet/register", r.handleRegister)

@@ -25,7 +25,6 @@ type Heartbeat struct {
 	registry string
 	client   *http.Client
 	snapshot func() Member
-	policy   resilience.Policy
 
 	mu       sync.Mutex
 	interval time.Duration
@@ -40,13 +39,6 @@ type HeartbeatOption func(*Heartbeat)
 // request.
 func WithHeartbeatClient(c *http.Client) HeartbeatOption {
 	return func(h *Heartbeat) { h.client = c }
-}
-
-// WithHeartbeatPolicy substitutes the resilience policy bounding each
-// registration round-trip (the policy's AttemptTimeout, layered onto
-// the beat's context). The default is resilience.Default (5s).
-func WithHeartbeatPolicy(p resilience.Policy) HeartbeatOption {
-	return func(h *Heartbeat) { h.policy = p }
 }
 
 // NewHeartbeat builds a heartbeat against the registry at registryURL.
@@ -64,7 +56,6 @@ func NewHeartbeat(registryURL string, snapshot func() Member, opts ...HeartbeatO
 		registry: strings.TrimRight(registryURL, "/"),
 		client:   http.DefaultClient,
 		snapshot: snapshot,
-		policy:   resilience.Default(),
 		interval: DefaultHeartbeatInterval,
 	}
 	for _, o := range opts {
@@ -81,7 +72,8 @@ func (h *Heartbeat) Beat(ctx context.Context) error {
 	if err != nil {
 		return h.setErr(err)
 	}
-	ctx, cancel := h.policy.AttemptContext(ctx)
+	// resilience.Default's attempt budget bounds each round-trip.
+	ctx, cancel := resilience.Default().AttemptContext(ctx)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		h.registry+"/v1/fleet/register", bytes.NewReader(body))

@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"bytes"
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -30,7 +31,7 @@ func encodeCanonical(t *testing.T, rs *vexsmt.ResultSet) string {
 }
 
 // TestFleetSweepAndPeerFill drives the whole fleet stack in-process: two
-// daemons self-register (the registry rides on daemon A via WithFleet),
+// daemons self-register (the registry shares daemon A's mux),
 // a registry-sourced coordinator sweeps them, and then cold daemons
 // join and serve the same plan purely from their peers' caches — first
 // pulled on demand by a sweep, then pushed ahead of one by prefetch. The
@@ -54,8 +55,11 @@ func TestFleetSweepAndPeerFill(t *testing.T) {
 	// Daemon A hosts the registry and a plain local cache.
 	registry := fleet.NewRegistry()
 	memA := cache.NewMemory(0)
-	srvA := server.New(testScale, 1, 2, server.WithCache(memA), server.WithFleet(registry.Handler()))
-	tsA := httptest.NewServer(srvA.Handler())
+	srvA := server.New(testScale, 1, 2, server.WithCache(memA))
+	muxA := http.NewServeMux()
+	muxA.Handle("/", srvA.Handler())
+	muxA.Handle("/v1/fleet/", registry.Handler())
+	tsA := httptest.NewServer(muxA)
 	defer tsA.Close()
 
 	// Daemon B peer-fills through its heartbeat's peer view.
@@ -74,18 +78,24 @@ func TestFleetSweepAndPeerFill(t *testing.T) {
 	urlB = tsB.URL
 
 	// Both daemons register; B beats after A so its peer view includes A.
+	// The test beats by hand, so it renews the leases before each phase
+	// that reads the registry: a slow sweep (under -race on a loaded
+	// machine) can outlast the lease and evict both members.
 	hbA, err := fleet.NewHeartbeat(tsA.URL, func() fleet.Member {
 		return fleet.Member{ID: "a", URL: tsA.URL, CacheEnabled: true}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := hbA.Beat(context.Background()); err != nil {
-		t.Fatal(err)
+	beat := func() {
+		t.Helper()
+		for _, hb := range []*fleet.Heartbeat{hbA, hbB} {
+			if err := hb.Beat(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if err := hbB.Beat(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	beat()
 
 	// Sweep 1: a registry-sourced coordinator over the self-assembled
 	// fleet, byte-identical to the single-process baseline.
@@ -103,6 +113,7 @@ func TestFleetSweepAndPeerFill(t *testing.T) {
 
 	// Daemon C joins cold after the sweep; its fetcher reads the registry
 	// directly (a coordinator-side peer view works identically).
+	beat()
 	pfC := cache.WithPeerFill(cache.NewMemory(0),
 		fleet.NewFetcher("c", func() []fleet.Member { return registry.Members() }).Fetch)
 	srvC := server.New(testScale, 1, 2, server.WithCache(pfC))
@@ -141,6 +152,7 @@ func TestFleetSweepAndPeerFill(t *testing.T) {
 
 	// Daemon D joins cold and is warmed by a coordinated prefetch push
 	// before any sweep touches it.
+	beat()
 	pfD := cache.WithPeerFill(cache.NewMemory(0),
 		fleet.NewFetcher("d", func() []fleet.Member { return registry.Members() }).Fetch)
 	srvD := server.New(testScale, 1, 2, server.WithCache(pfD))

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-	"time"
 
 	"vexsmt/pkg/vexsmt/resilience"
 )
@@ -31,7 +30,6 @@ type Fetcher struct {
 	selfID string
 	peers  func() []Member
 	client *http.Client
-	policy resilience.Policy
 }
 
 // FetcherOption configures a Fetcher.
@@ -42,27 +40,6 @@ func WithFetchClient(c *http.Client) FetcherOption {
 	return func(f *Fetcher) { f.client = c }
 }
 
-// WithFetchPolicy substitutes the per-peer resilience policy. Only the
-// policy's AttemptTimeout participates — a peer fill is never retried
-// (the next peer, or the simulator, is the retry) — and it layers onto
-// the caller's context, never overriding an earlier deadline. The
-// default is resilience.PeerFill (1s per peer).
-func WithFetchPolicy(p resilience.Policy) FetcherOption {
-	return func(f *Fetcher) { f.policy = p }
-}
-
-// WithFetchTimeout bounds each peer's round-trip; non-positive restores
-// the default. Retained for older call sites — it is shorthand for
-// WithFetchPolicy with the timeout swapped in.
-func WithFetchTimeout(d time.Duration) FetcherOption {
-	return func(f *Fetcher) {
-		f.policy = resilience.PeerFill()
-		if d > 0 {
-			f.policy.AttemptTimeout = d
-		}
-	}
-}
-
 // NewFetcher builds a fetcher for the member selfID whose peer view is
 // read from peers at each Fetch (pass Heartbeat.Peers for a daemon, or a
 // Registry-backed closure on a coordinator).
@@ -71,7 +48,6 @@ func NewFetcher(selfID string, peers func() []Member, opts ...FetcherOption) *Fe
 		selfID: selfID,
 		peers:  peers,
 		client: http.DefaultClient,
-		policy: resilience.PeerFill(),
 	}
 	for _, o := range opts {
 		o(f)
@@ -88,10 +64,11 @@ func (f *Fetcher) Fetch(key string) ([]byte, bool) {
 // FetchContext tries each peer's /v1/cache/{key} and returns the first
 // verified entry. Any failure — unreachable peer, miss, checksum
 // mismatch — moves on to the next peer; exhausting them is a peer miss
-// and the caller simulates. Each peer's round-trip is bounded by the
-// fetch policy's attempt budget layered onto ctx — a caller whose
-// deadline is nearer than the policy's is respected, not overridden —
-// and a ctx already done stops the peer walk entirely.
+// and the caller simulates. Each peer's round-trip is bounded by
+// resilience.PeerFill's attempt budget layered onto ctx — a caller whose
+// deadline is nearer is respected, not overridden — and a ctx already
+// done stops the peer walk entirely. A peer fill is never retried: the
+// next peer, or the simulator, is the retry.
 func (f *Fetcher) FetchContext(ctx context.Context, key string) ([]byte, bool) {
 	if f.peers == nil || key == "" || strings.ContainsAny(key, "/\\") {
 		return nil, false
@@ -113,7 +90,7 @@ func (f *Fetcher) FetchContext(ctx context.Context, key string) ([]byte, bool) {
 }
 
 func (f *Fetcher) fetchOne(ctx context.Context, p Member, key string) ([]byte, bool) {
-	ctx, cancel := f.policy.AttemptContext(ctx)
+	ctx, cancel := resilience.PeerFill().AttemptContext(ctx)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		strings.TrimRight(p.URL, "/")+"/v1/cache/"+key, nil)

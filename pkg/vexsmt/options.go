@@ -61,78 +61,6 @@ func WithCache(c CellCache) Option {
 	}
 }
 
-// WithTechniques restricts the service to the named techniques ("SMT",
-// "CSMT", "CCSI NS", "CCSI AS", "COSI NS", "COSI AS", "OOSI NS",
-// "OOSI AS"). Sweep plans expand over exactly this set, and resolving a
-// plan that needs a technique outside it fails up front rather than
-// silently simulating it. The default is all eight techniques of the
-// paper's Figure 16.
-func WithTechniques(names ...string) Option {
-	return func(s *Service) error {
-		if len(names) == 0 {
-			return fmt.Errorf("vexsmt: WithTechniques requires at least one technique")
-		}
-		techs := make([]core.Technique, 0, len(names))
-		seen := make(map[string]bool, len(names))
-		for _, name := range names {
-			t, err := core.ParseTechnique(name)
-			if err != nil {
-				return fmt.Errorf("vexsmt: %w", err)
-			}
-			if seen[t.Name()] {
-				continue
-			}
-			seen[t.Name()] = true
-			techs = append(techs, t)
-		}
-		s.techniques = techs
-		return nil
-	}
-}
-
-// WithPredictors restricts the service to the named branch-predictor
-// models ("static", "bimodal", "gshare", "tage"). Plans naming a
-// predictor outside the set fail at resolution rather than silently
-// simulating it. The default is every model in internal/bpred.
-func WithPredictors(names ...string) Option {
-	return func(s *Service) error {
-		if len(names) == 0 {
-			return fmt.Errorf("vexsmt: WithPredictors requires at least one predictor")
-		}
-		preds := make([]string, 0, len(names))
-		seen := make(map[string]bool, len(names))
-		for _, name := range names {
-			canon, err := bpred.Canonical(name)
-			if err != nil {
-				return fmt.Errorf("vexsmt: %w", err)
-			}
-			if seen[canon] {
-				continue
-			}
-			seen[canon] = true
-			preds = append(preds, canon)
-		}
-		s.predictors = preds
-		return nil
-	}
-}
-
-// WithWorkloadDir loads a trace corpus directory (.vxt binary traces and
-// .vex assembly programs; see internal/wstore) and enables the workload
-// axis: Plan.Workloads and CellSpec.Workload resolve against the loaded
-// corpus. Files are content-hashed and decoded at most once per process
-// no matter how many services name the same directory — concurrent cells
-// replay one shared immutable arena. An empty dir is rejected at New.
-func WithWorkloadDir(dir string) Option {
-	return func(s *Service) error {
-		if dir == "" {
-			return fmt.Errorf("vexsmt: WithWorkloadDir requires a directory")
-		}
-		s.workloadDir = dir
-		return nil
-	}
-}
-
 // withWorkloadStore injects a private trace store (tests only; production
 // services share the process-global store so corpora decode once).
 func withWorkloadStore(st *wstore.Store) Option {
@@ -143,11 +71,13 @@ func withWorkloadStore(st *wstore.Store) Option {
 }
 
 // Predictors returns the names of every branch-predictor model, in
-// canonical presentation order — the default set of a Service.
+// canonical presentation order. Every Service accepts all of them.
 func Predictors() []string { return bpred.Names() }
 
 // Techniques returns the names of every technique the paper evaluates, in
-// the presentation order of Figure 16 — the default set of a Service.
+// the presentation order of Figure 16. Every Service runs all of them:
+// Sweep and Plan.Workloads expand over this list, and RunMeta.Techniques
+// is its comma join.
 func Techniques() []string {
 	all := core.AllTechniques()
 	names := make([]string, len(all))

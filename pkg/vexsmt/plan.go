@@ -12,8 +12,9 @@ import (
 
 // Plan describes the work of one run. The three fields compose: the
 // resolved plan is the deduplicated union of the named figures' grids, the
-// explicit cells, and — when Sweep is set — the service's technique set
-// swept over all nine mixes at the paper's 2- and 4-thread machines.
+// explicit cells, and — when Sweep is set — every technique (see
+// Techniques) swept over all nine mixes at the paper's 2- and 4-thread
+// machines.
 //
 // Figure names are "13a", "13b", "14", "15", "16" or "all"; figures 13a
 // and 13b plan no grid cells (13a is single-threaded, 13b is a table), but
@@ -32,8 +33,8 @@ type Plan struct {
 
 	// Workloads adds trace-backed cells to the grid: each named workload
 	// (bare name or "name@sha256" reference, resolved against the
-	// service's loaded corpus) is simulated under every service technique
-	// at the paper's 2- and 4-thread machines, crossed with the
+	// service's loaded corpus) is simulated under every technique at the
+	// paper's 2- and 4-thread machines, crossed with the
 	// Predictors axis exactly like the mix grid. Explicit Cells are not
 	// crossed; they carry their own Workload field.
 	Workloads []string `json:"workloads,omitempty"`
@@ -179,11 +180,10 @@ func planFigures(names []string) ([]string, error) {
 }
 
 // resolve turns a public Plan into its deduplicated canonical cells in
-// first-seen order, enforcing the service's technique and predictor
-// sets. The figure/sweep grid is crossed with the plan's Predictors axis
-// (predictor-major, so one model's full grid streams before the next
-// begins and paired comparisons complete early); explicit Cells carry
-// their own Predictor and are never crossed.
+// first-seen order. The figure/sweep grid is crossed with the plan's
+// Predictors axis (predictor-major, so one model's full grid streams
+// before the next begins and paired comparisons complete early);
+// explicit Cells carry their own Predictor and are never crossed.
 func (s *Service) resolve(p Plan) ([]CellSpec, error) {
 	figs, err := planFigures(p.Figures)
 	if err != nil {
@@ -194,7 +194,7 @@ func (s *Service) resolve(p Plan) ([]CellSpec, error) {
 		grid = append(grid, gridCells(figureTechniques(f))...)
 	}
 	if p.Sweep {
-		grid = append(grid, gridCells(s.techniques)...)
+		grid = append(grid, gridCells(core.AllTechniques())...)
 	}
 	preds := p.Predictors
 	if len(preds) == 0 {
@@ -229,7 +229,7 @@ func (s *Service) resolve(p Plan) ([]CellSpec, error) {
 		}
 		for _, ref := range wlRefs {
 			for _, threads := range paperThreads {
-				for _, t := range s.techniques {
+				for _, t := range core.AllTechniques() {
 					add(CellSpec{Workload: ref, Technique: t.Name(), Threads: threads, Predictor: pred})
 				}
 			}
@@ -241,11 +241,6 @@ func (s *Service) resolve(p Plan) ([]CellSpec, error) {
 			return nil, err
 		}
 		add(c)
-	}
-	for _, c := range cells {
-		if err := s.admit(c); err != nil {
-			return nil, err
-		}
 	}
 	return cells, nil
 }
@@ -280,23 +275,4 @@ func (s *Service) canon(spec CellSpec) (CellSpec, error) {
 	}
 	c.Mix = mix.Label
 	return c, nil
-}
-
-// admit enforces the service's technique and predictor sets on one
-// canonical cell. resolve and RunCell share it, so a plan and a single
-// cell are admitted alike.
-func (s *Service) admit(c CellSpec) error {
-	if !s.allowed(c.Technique) {
-		return fmt.Errorf("vexsmt: technique %s not enabled on this service (WithTechniques)", c.Technique)
-	}
-	if !slices.Contains(s.predictors, publicPredictor(c.Predictor)) {
-		return fmt.Errorf("vexsmt: predictor %s not enabled on this service (WithPredictors)", publicPredictor(c.Predictor))
-	}
-	return nil
-}
-
-// allowed reports whether the canonically named technique is in the
-// service's set.
-func (s *Service) allowed(name string) bool {
-	return slices.ContainsFunc(s.techniques, func(t core.Technique) bool { return t.Name() == name })
 }

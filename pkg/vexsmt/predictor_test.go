@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// This file tests the branch-predictor experiment axis: list parsing, the
-// WithPredictors service scope, plan crossing, result identity (the
+// This file tests the branch-predictor experiment axis: list parsing,
+// plan crossing, result identity (the
 // Predictor field in cells, sort order, merge keys), cache addressing, and
 // the static byte-identity contract at the JSON layer.
 
@@ -47,38 +47,6 @@ func TestParsePredictors(t *testing.T) {
 		if s := strings.Join(got, ","); s != tc.want {
 			t.Errorf("%q: got %q, want %q", tc.in, s, tc.want)
 		}
-	}
-}
-
-func TestWithPredictorsValidation(t *testing.T) {
-	if _, err := New(WithPredictors()); err == nil {
-		t.Error("empty WithPredictors accepted")
-	}
-	if _, err := New(WithPredictors("perceptron")); err == nil {
-		t.Error("unknown predictor accepted by WithPredictors")
-	}
-	if got := Predictors(); strings.Join(got, ",") != "static,bimodal,gshare,tage" {
-		t.Errorf("Predictors() = %v", got)
-	}
-}
-
-func TestWithPredictorsScopesService(t *testing.T) {
-	svc := testService(t, WithPredictors("static"))
-	// A plan crossing the grid with a disabled model fails at resolution.
-	if _, err := svc.PlanSize(Plan{Figures: []string{"14"}, Predictors: []string{"bimodal"}}); err == nil {
-		t.Fatal("disabled predictor accepted via Plan.Predictors")
-	} else if !strings.Contains(err.Error(), "not enabled") {
-		t.Fatalf("wrong error: %v", err)
-	}
-	// An explicit cell naming a disabled model fails the same way.
-	if _, err := svc.PlanSize(Plan{Cells: []CellSpec{
-		{Mix: "llll", Technique: "SMT", Threads: 2, Predictor: "gshare"},
-	}}); err == nil {
-		t.Fatal("disabled predictor accepted via CellSpec")
-	}
-	// The default static grid is unaffected by the restriction.
-	if _, err := svc.PlanSize(Plan{Figures: []string{"14"}}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -10,8 +10,7 @@ import (
 // same tables and charts paperbench prints, in the layout of the paper's
 // tables and figures. Grid figures (14, 15, 16) read memoized cells where
 // available, so a Prefetch or Stream of the same plan makes rendering
-// instantaneous, and they enforce the service's technique set like the
-// structured figure methods.
+// instantaneous.
 func (s *Service) RenderFigure(ctx context.Context, fig string) (string, error) {
 	switch fig {
 	case "13a":

@@ -106,24 +106,13 @@ type Result[T, R any] struct {
 	Stolen   bool   // final outcome came from a backend other than the initial assignment
 }
 
-// Progress is a live snapshot of a run. Callbacks are serialized.
-type Progress struct {
-	Done    int // items with a final outcome
-	Total   int
-	Retries int // attempts beyond each item's first
-	Stolen  int // items picked up from another backend's queue
-}
-
-// Options parameterizes Run. The zero value retries nothing and reports
+// Options parameterizes Run. The zero value retries nothing and logs
 // nothing.
 type Options struct {
 	// Retries is how many extra attempts an item gets after a transient
 	// failure, each on a backend that has not yet failed it. Negative is
 	// treated as 0.
 	Retries int
-	// OnProgress, when non-nil, observes scheduling progress; calls are
-	// serialized.
-	OnProgress func(Progress)
 	// Logf, when non-nil, receives steal, retry and backend-removal
 	// events.
 	Logf func(format string, args ...any)
@@ -164,7 +153,6 @@ func Run[T, R any](ctx context.Context, items []T, backends []Backend[T, R], opt
 		consec:   make([]int, len(backends)),
 		backends: backends,
 		pending:  len(items),
-		total:    len(items),
 		opts:     opts,
 		out:      make(chan Result[T, R]),
 	}
@@ -279,43 +267,16 @@ type state[T, R any] struct {
 	consec    []int // consecutive transient failures per backend
 	backends  []Backend[T, R]
 	pending   int // items without a final outcome
-	done      int
-	retries   int
-	stolen    int
-	total     int
 	cancelled bool
 
 	opts Options
 	out  chan Result[T, R]
-
-	notifyMu sync.Mutex // serializes OnProgress
 }
 
 func (st *state[T, R]) logf(format string, args ...any) {
 	if st.opts.Logf != nil {
 		st.opts.Logf(format, args...)
 	}
-}
-
-func (st *state[T, R]) progressLocked() Progress {
-	return Progress{Done: st.done, Total: st.total, Retries: st.retries, Stolen: st.stolen}
-}
-
-// notify reports the current progress. The snapshot is taken under
-// notifyMu (then st.mu, briefly), so concurrent completions cannot
-// deliver snapshots out of order — counters only grow, and each callback
-// reads state no older than its predecessor's. Callers must not hold
-// st.mu.
-func (st *state[T, R]) notify() {
-	if st.opts.OnProgress == nil {
-		return
-	}
-	st.notifyMu.Lock()
-	defer st.notifyMu.Unlock()
-	st.mu.Lock()
-	p := st.progressLocked()
-	st.mu.Unlock()
-	st.opts.OnProgress(p)
 }
 
 // next blocks until backend bi has something to run: its own next queued
@@ -346,11 +307,7 @@ func (st *state[T, R]) next(bi int) (*task[T], bool) {
 		}
 		if victim >= 0 {
 			t := popEligible(&st.queues[victim], bi, true)
-			st.stolen++
 			st.logf("sched: %s steals item %d from %s", st.backends[bi].Name(), t.index, st.backends[victim].Name())
-			st.mu.Unlock()
-			st.notify()
-			st.mu.Lock()
 			return t, true
 		}
 		st.cond.Wait()
@@ -402,13 +359,11 @@ func (st *state[T, R]) deliver(ctx context.Context, r Result[T, R]) {
 	}
 	st.mu.Lock()
 	st.pending--
-	st.done++
 	finished := st.pending == 0
 	st.mu.Unlock()
 	if finished {
 		st.cond.Broadcast()
 	}
-	st.notify()
 }
 
 // requeue reschedules a transiently failed task onto the least-loaded
@@ -452,12 +407,10 @@ func (st *state[T, R]) requeue(t *task[T], failed int, budget int) bool {
 		return true
 	}
 	st.queues[best] = append(st.queues[best], t)
-	st.retries++
 	st.logf("sched: item %d retries on %s (attempt %d): %v",
 		t.index, st.backends[best].Name(), t.attempts+1, t.lastErr)
 	st.mu.Unlock()
 	st.cond.Broadcast()
-	st.notify()
 	return false
 }
 

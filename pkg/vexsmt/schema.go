@@ -110,10 +110,10 @@ func SpeedupPct(tech, base CellResult) float64 {
 // RunMeta records what produced a ResultSet: schema version and the
 // reproduction triple (seed, scale, parallelism). Seed and scale pin the
 // exact bits; parallelism is informational only — it never changes results.
-// Techniques is the comma-joined technique set of the producing service
-// (Figure 16 order), so a merger can refuse to combine results from
-// services that disagree about what the grid even is. It is kept a single
-// string so RunMeta stays comparable.
+// Techniques is the comma-joined technique list of the producing service
+// (Techniques(), Figure 16 order), so a merger can refuse to combine
+// decoded results from a build that disagrees about what the grid even
+// is. It is kept a single string so RunMeta stays comparable.
 type RunMeta struct {
 	SchemaVersion int    `json:"schema_version"`
 	Seed          uint64 `json:"seed"`

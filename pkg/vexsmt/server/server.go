@@ -44,12 +44,12 @@ import (
 //	POST   /v1/prefetch         warm the local cache with upcoming cells
 //	GET    /healthz             capacity/running/defaults/cache stats
 //
-// With WithFleet, a registry handler (pkg/vexsmt/fleet) is additionally
-// mounted under /v1/fleet/, so any daemon can host the fleet's membership.
+// The fleet registry (pkg/vexsmt/fleet) is not among these routes: it is
+// served by vexsmtctl -coordinator, and a process that wants both mounts
+// Handler and the registry's Handler on one mux of its own.
 type Server struct {
 	defaults serverDefaults // server-level default scale/seed/parallelism
 	cache    vexsmt.CellCache
-	fleet    http.Handler // optional registry routes under /v1/fleet/
 	started  time.Time
 
 	workloadDir string    // trace corpus directory (WithWorkloads); "" = synthetic only
@@ -129,13 +129,6 @@ func WithCache(c vexsmt.CellCache) Option {
 	return func(s *Server) { s.cache = c }
 }
 
-// WithFleet mounts h under /v1/fleet/ — pass pkg/vexsmt/fleet's Handler to
-// make this daemon the fleet's registry host. The handler is plain
-// http.Handler so the server package needs no fleet dependency.
-func WithFleet(h http.Handler) Option {
-	return func(s *Server) { s.fleet = h }
-}
-
 // WithWorkloads points the server at a trace corpus directory (.vxt /
 // .vex; see internal/wstore). The corpus loads once — content-addressed,
 // decoded a single time per process — on first need, and every plan the
@@ -182,9 +175,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/cache/", s.handleCacheGet)
 	mux.HandleFunc("/v1/prefetch", s.handlePrefetch)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	if s.fleet != nil {
-		mux.Handle("/v1/fleet/", s.fleet)
-	}
 	return mux
 }
 

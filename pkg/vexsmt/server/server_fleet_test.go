@@ -221,24 +221,31 @@ func TestPrefetchRejectsBadRequests(t *testing.T) {
 }
 
 func TestFleetHandlerMount(t *testing.T) {
+	// A process hosting both the daemon and a registry mounts them on one
+	// mux of its own; the daemon's routes and the registry's coexist.
 	marker := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusTeapot)
 	})
-	ts := httptest.NewServer(New(20000, 1, 2, WithFleet(marker)).Handler())
+	mux := http.NewServeMux()
+	mux.Handle("/", New(20000, 1, 2).Handler())
+	mux.Handle("/v1/fleet/", marker)
+	ts := httptest.NewServer(mux)
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/v1/fleet/members")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTeapot {
-		t.Fatalf("fleet mount: status %d, want the mounted handler's", resp.StatusCode)
+	for path, want := range map[string]int{"/v1/fleet/members": http.StatusTeapot, "/healthz": http.StatusOK} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("%s: status %d, want %d", path, resp.StatusCode, want)
+		}
 	}
 
-	// Without WithFleet the prefix stays unrouted.
+	// The daemon alone leaves the fleet prefix unrouted.
 	ts2 := testServer()
 	defer ts2.Close()
-	resp, err = http.Get(ts2.URL + "/v1/fleet/members")
+	resp, err := http.Get(ts2.URL + "/v1/fleet/members")
 	if err != nil {
 		t.Fatal(err)
 	}

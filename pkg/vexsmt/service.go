@@ -10,7 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"vexsmt/internal/bpred"
 	"vexsmt/internal/core"
 	"vexsmt/internal/sim"
 	"vexsmt/internal/stats"
@@ -34,16 +33,11 @@ import (
 // worker pool is pkg/vexsmt/sched — the same cell-level scheduler the
 // distributed coordinator uses — with the service as its single backend.
 type Service struct {
-	scale      int64
-	seed       uint64
-	parallel   int
-	techniques []core.Technique
-	predictors []string // canonical model names (WithPredictors)
-	cache      CellCache
-
-	workloadDir string        // corpus directory (WithWorkloadDir); "" = no trace workloads
-	wl          *wstore.Store // trace store; the process-global one unless a test injects its own
-	wlRefs      []string      // sorted "name@sha256" references loaded from workloadDir
+	scale    int64
+	seed     uint64
+	parallel int
+	cache    CellCache
+	wl       *wstore.Store // trace store; the process-global one unless a test injects its own
 
 	sims atomic.Int64 // simulator runs actually performed (cache hits excluded)
 
@@ -60,32 +54,18 @@ type cellCall struct {
 }
 
 // New builds a Service. Defaults: 1/100 paper scale, seed 1, GOMAXPROCS
-// parallelism, all eight techniques, no result cache.
+// parallelism, no result cache.
 func New(opts ...Option) (*Service, error) {
 	s := &Service{
-		scale:      100,
-		seed:       1,
-		parallel:   runtime.GOMAXPROCS(0),
-		techniques: core.AllTechniques(),
-		predictors: bpred.Names(),
-		cells:      make(map[CellSpec]*cellCall),
+		scale:    100,
+		seed:     1,
+		parallel: runtime.GOMAXPROCS(0),
+		wl:       wstore.Shared(),
+		cells:    make(map[CellSpec]*cellCall),
 	}
 	for _, o := range opts {
 		if err := o(s); err != nil {
 			return nil, err
-		}
-	}
-	if s.wl == nil {
-		s.wl = wstore.Shared()
-	}
-	if s.workloadDir != "" {
-		traces, err := s.wl.LoadDir(s.workloadDir)
-		if err != nil {
-			return nil, fmt.Errorf("vexsmt: %w", err)
-		}
-		s.wlRefs = make([]string, len(traces))
-		for i, t := range traces {
-			s.wlRefs[i] = t.Ref()
 		}
 	}
 	return s, nil
@@ -118,7 +98,7 @@ func (s *Service) workloadRef(nameOrRef string) (string, error) {
 	if !ok {
 		have := s.wl.Names()
 		if len(have) == 0 {
-			return "", fmt.Errorf("vexsmt: workload %q: no trace corpus loaded (WithWorkloadDir)", nameOrRef)
+			return "", fmt.Errorf("vexsmt: workload %q: no trace corpus loaded (LoadWorkloads)", nameOrRef)
 		}
 		return "", fmt.Errorf("vexsmt: unknown workload %q (have %s)", nameOrRef, strings.Join(have, ", "))
 	}
@@ -134,29 +114,9 @@ func (s *Service) Seed() uint64 { return s.seed }
 // Parallelism returns the configured worker-pool bound.
 func (s *Service) Parallelism() int { return s.parallel }
 
-// TechniqueNames returns the service's enabled techniques in Figure 16
-// order.
-func (s *Service) TechniqueNames() []string {
-	names := make([]string, len(s.techniques))
-	for i, t := range s.techniques {
-		names[i] = t.Name()
-	}
-	return names
-}
-
-// PredictorNames returns the service's enabled branch-predictor models in
-// canonical order.
-func (s *Service) PredictorNames() []string {
-	return append([]string(nil), s.predictors...)
-}
-
-// WorkloadRefs returns the sorted "name@sha256" references of the trace
-// corpus loaded via WithWorkloadDir (nil without one). Workloads loaded
-// into the shared store by other services are not listed — these are the
-// workloads *this* service advertises.
-func (s *Service) WorkloadRefs() []string {
-	return append([]string(nil), s.wlRefs...)
-}
+// techniqueList is RunMeta.Techniques: every service runs the same
+// technique list, so it is joined once per process.
+var techniqueList = strings.Join(Techniques(), ",")
 
 // Meta returns the run metadata stamped onto every ResultSet this service
 // produces.
@@ -166,7 +126,7 @@ func (s *Service) Meta() RunMeta {
 		Seed:          s.seed,
 		Scale:         s.scale,
 		Parallelism:   s.parallel,
-		Techniques:    strings.Join(s.TechniqueNames(), ","),
+		Techniques:    techniqueList,
 	}
 }
 
@@ -211,9 +171,6 @@ func (s *Service) cellResult(c CellSpec, r *stats.Run, cached bool, err error) C
 func (s *Service) RunCell(ctx context.Context, spec CellSpec) (CellResult, error) {
 	c, err := s.canon(spec)
 	if err != nil {
-		return CellResult{}, err
-	}
-	if err := s.admit(c); err != nil {
 		return CellResult{}, err
 	}
 	r, cached, err := s.run(ctx, c)
@@ -520,9 +477,8 @@ func (s *Service) Figure13a(ctx context.Context) ([]Fig13Row, error) {
 	return rows, nil
 }
 
-// prefetchFigure resolves one grid figure's plan, which enforces the
-// service's technique set, and simulates it, so figure assembly only
-// reads memoized cells.
+// prefetchFigure resolves one grid figure's plan and simulates it, so
+// figure assembly only reads memoized cells.
 func (s *Service) prefetchFigure(ctx context.Context, fig string) error {
 	cells, err := s.resolve(Plan{Figures: []string{fig}})
 	if err != nil {
@@ -531,16 +487,12 @@ func (s *Service) prefetchFigure(ctx context.Context, fig string) error {
 	return s.prefetch(ctx, cells)
 }
 
-// Figure14 computes the paper's Figure 14 series (CCSI over CSMT). Like
-// every figure entry point, it enforces the service's technique set, so a
-// scoped service fails up front instead of silently simulating disabled
-// techniques.
+// Figure14 computes the paper's Figure 14 series (CCSI over CSMT).
 func (s *Service) Figure14(ctx context.Context) ([]FigureSeries, error) {
 	return s.speedupFigure(ctx, "14")
 }
 
-// Figure15 computes the paper's Figure 15 series (COSI/OOSI over SMT),
-// enforcing the service's technique set.
+// Figure15 computes the paper's Figure 15 series (COSI/OOSI over SMT).
 func (s *Service) Figure15(ctx context.Context) ([]FigureSeries, error) {
 	return s.speedupFigure(ctx, "15")
 }
@@ -593,7 +545,7 @@ func (s *Service) speedups(ctx context.Context, tech, baseline core.Technique, t
 
 // Figure16 computes the paper's Figure 16 points (absolute IPC of every
 // technique averaged over the nine mixes) in the paper's presentation
-// order, enforcing the service's technique set.
+// order.
 func (s *Service) Figure16(ctx context.Context) ([]IPCPoint, error) {
 	if err := s.prefetchFigure(ctx, "16"); err != nil {
 		return nil, err
@@ -630,9 +582,6 @@ func (s *Service) ThreadScaling(ctx context.Context, mixLabel, technique string,
 	tech, err := core.ParseTechnique(technique)
 	if err != nil {
 		return nil, fmt.Errorf("vexsmt: %w", err)
-	}
-	if !s.allowed(tech.Name()) {
-		return nil, fmt.Errorf("vexsmt: technique %s not enabled on this service (WithTechniques)", tech.Name())
 	}
 	profs, err := mix.Profiles()
 	if err != nil {

@@ -13,8 +13,6 @@ func TestOptionValidation(t *testing.T) {
 	}{
 		{"scale", WithScale(0)},
 		{"parallelism", WithParallelism(0)},
-		{"empty techniques", WithTechniques()},
-		{"unknown technique", WithTechniques("WAT")},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.opt); err == nil {
@@ -31,50 +29,24 @@ func TestServiceDefaults(t *testing.T) {
 	if svc.Scale() != 100 || svc.Seed() != 1 || svc.Parallelism() < 1 {
 		t.Fatalf("defaults: scale %d seed %d parallelism %d", svc.Scale(), svc.Seed(), svc.Parallelism())
 	}
-	if got := svc.TechniqueNames(); len(got) != 8 {
-		t.Fatalf("default technique set %v, want all 8", got)
-	}
 	meta := svc.Meta()
 	if meta.SchemaVersion != SchemaVersion || meta.Scale != 100 {
 		t.Fatalf("meta %+v", meta)
 	}
-}
-
-func TestWithTechniquesScopesService(t *testing.T) {
-	svc := testService(t, WithTechniques("CSMT", "CCSI AS"))
-	ctx := context.Background()
-
-	// A cell outside the set is rejected up front.
-	if _, err := svc.RunCell(ctx, CellSpec{Mix: "mmhh", Technique: "SMT", Threads: 2}); err == nil {
-		t.Fatal("disabled technique accepted by RunCell")
+	// Every export carries this string; it must not drift.
+	if want := "CSMT,CCSI NS,CCSI AS,SMT,COSI NS,COSI AS,OOSI NS,OOSI AS"; meta.Techniques != want {
+		t.Fatalf("meta techniques %q, want %q", meta.Techniques, want)
 	}
-	// A figure needing a disabled technique fails at resolution, before any
-	// simulation runs.
-	if _, err := svc.PlanSize(Plan{Figures: []string{"15"}}); err == nil {
-		t.Fatal("figure 15 resolved on a CSMT/CCSI-only service")
-	} else if !strings.Contains(err.Error(), "not enabled") {
-		t.Fatalf("wrong error: %v", err)
+	if got := Predictors(); strings.Join(got, ",") != "static,bimodal,gshare,tage" {
+		t.Errorf("Predictors() = %v", got)
 	}
-	// Every figure entry point enforces the set, not just plan resolution.
-	if _, err := svc.Figure14(ctx); err == nil {
-		t.Fatal("Figure14 ran on a CSMT/CCSI-AS-only service (needs CCSI NS)")
-	}
-	if _, err := svc.Figure16(ctx); err == nil {
-		t.Fatal("Figure16 ran on a scoped service")
-	}
-	if _, err := svc.RenderFigure(ctx, "15"); err == nil {
-		t.Fatal("RenderFigure(15) ran on a scoped service")
-	}
-	if _, err := svc.ThreadScaling(ctx, "llll", "OOSI AS", []int{1, 2}); err == nil {
-		t.Fatal("ThreadScaling ran a disabled technique")
-	}
-	// A sweep expands exactly the enabled set: 2 techniques x 9 mixes x {2,4}.
+	// A sweep expands every technique: 8 techniques x 9 mixes x {2,4}.
 	n, err := svc.PlanSize(Plan{Sweep: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2*9*2 {
-		t.Fatalf("sweep planned %d cells, want 36", n)
+	if n != 8*9*2 {
+		t.Fatalf("sweep planned %d cells, want 144", n)
 	}
 }
 

@@ -201,12 +201,7 @@ func (c *Coordinator) Collect(ctx context.Context, plan vexsmt.Plan) (*vexsmt.Re
 		return nil, err
 	}
 	for i := range backends {
-		backends[i].job = Job{
-			Scale:      c.cfg.Scale,
-			Seed:       c.cfg.Seed,
-			Techniques: scratch.Meta().Techniques,
-			CacheOff:   c.cfg.CacheOff,
-		}
+		backends[i].job = Job{Scale: c.cfg.Scale, Seed: c.cfg.Seed, CacheOff: c.cfg.CacheOff}
 	}
 	sbs := make([]sched.Backend[vexsmt.CellSpec, vexsmt.CellResult], len(backends))
 	for i := range backends {

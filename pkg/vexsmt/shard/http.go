@@ -119,6 +119,11 @@ func (h *HTTP) Health(ctx context.Context) (Health, error) {
 	}, nil
 }
 
+// techniqueList is the RunMeta.Techniques every daemon stamps: services
+// run one fixed technique list, so an ack carrying another comes from a
+// build that disagrees about the grid.
+var techniqueList = strings.Join(vexsmt.Techniques(), ",")
+
 // Run implements Backend: submit the job's cells as a plan pinned to the
 // job's seed and scale, and read the reply — the ack line, then the cells
 // and the terminal status — with one scanner. Returning before the
@@ -173,9 +178,9 @@ func (h *HTTP) Run(ctx context.Context, job Job) (*vexsmt.ResultSet, error) {
 	// would only be caught downstream after wasted simulation.
 	if ack.Meta.SchemaVersion != vexsmt.SchemaVersion ||
 		ack.Meta.Seed != job.Seed || ack.Meta.Scale != job.Scale ||
-		(job.Techniques != "" && ack.Meta.Techniques != job.Techniques) {
+		ack.Meta.Techniques != techniqueList {
 		return nil, fmt.Errorf("shard: %s: daemon accepted plan with meta %+v; job wants schema v%d seed %d scale 1/%d techniques %q",
-			h.base, ack.Meta, vexsmt.SchemaVersion, job.Seed, job.Scale, job.Techniques)
+			h.base, ack.Meta, vexsmt.SchemaVersion, job.Seed, job.Scale, techniqueList)
 	}
 
 	rs := &vexsmt.ResultSet{Meta: ack.Meta}
@@ -184,9 +189,6 @@ func (h *HTTP) Run(ctx context.Context, job Job) (*vexsmt.ResultSet, error) {
 			return // the terminal status line will carry the failure
 		}
 		rs.Cells = append(rs.Cells, cell)
-		if job.Progress != nil {
-			job.Progress(cell)
-		}
 	})
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, cerr

@@ -51,10 +51,6 @@ func (l *Local) Run(ctx context.Context, job Job) (*vexsmt.ResultSet, error) {
 		return nil, fmt.Errorf("shard: backend %s runs 1/%d scale seed %d; job wants 1/%d scale seed %d",
 			l.name, l.svc.Scale(), l.svc.Seed(), job.Scale, job.Seed)
 	}
-	if meta := l.svc.Meta(); job.Techniques != "" && meta.Techniques != job.Techniques {
-		return nil, fmt.Errorf("shard: backend %s technique set %q; job wants %q",
-			l.name, meta.Techniques, job.Techniques)
-	}
 	l.running.Add(1)
 	defer l.running.Add(-1)
 
@@ -75,9 +71,6 @@ func (l *Local) Run(ctx context.Context, job Job) (*vexsmt.ResultSet, error) {
 			continue
 		}
 		rs.Cells = append(rs.Cells, cell)
-		if job.Progress != nil {
-			job.Progress(cell)
-		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -36,23 +36,15 @@ type Health struct {
 // Job is one unit of backend work: the cells to simulate (one, under the
 // cell-scheduling coordinator, but the Backend contract allows any
 // number) and the seed/scale every backend must run them under.
-// Techniques, when non-empty, is the comma-joined technique set the
-// results' meta must carry (RunMeta.Techniques) — backends check it up
-// front so a mismatch fails in milliseconds instead of after simulating.
 // CacheOff asks the backend to bypass its result cache for this job
 // (remote backends forward it as the submit request's cache=off; the
 // in-process backend's cache policy is fixed at service construction and
-// the flag is ignored there). Progress, when non-nil, is called once per
-// completed cell, from the goroutine running the job — useful to callers
-// driving a Backend directly with multi-cell jobs; the cell-scheduling
-// Coordinator leaves it nil and derives progress from deliveries instead.
+// the flag is ignored there).
 type Job struct {
-	Cells      []vexsmt.CellSpec
-	Scale      int64
-	Seed       uint64
-	Techniques string
-	CacheOff   bool
-	Progress   func(vexsmt.CellResult)
+	Cells    []vexsmt.CellSpec
+	Scale    int64
+	Seed     uint64
+	CacheOff bool
 }
 
 // Backend runs jobs. Implementations must honor the job's seed and scale

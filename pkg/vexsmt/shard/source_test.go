@@ -16,27 +16,32 @@ import (
 	"vexsmt/pkg/vexsmt/shard"
 )
 
+// daemonMeta is the ack meta a daemon running the test job stamps.
+func daemonMeta() vexsmt.RunMeta {
+	return vexsmt.RunMeta{SchemaVersion: vexsmt.SchemaVersion, Seed: 1, Scale: testScale,
+		Techniques: strings.Join(vexsmt.Techniques(), ",")}
+}
+
 // fakeDaemon serves just enough of the vexsmtd /v1 protocol for an HTTP
-// backend to submit a plan and follow its stream; the stream body is
-// whatever the test scripts, so torn and terminal-less streams are easy
-// to stage.
-func fakeDaemon(t *testing.T, stream func(w http.ResponseWriter)) *httptest.Server {
+// backend to submit a plan in streaming form: the ack line carrying meta,
+// then whatever the test scripts, so torn and terminal-less streams are
+// easy to stage.
+func fakeDaemon(t *testing.T, meta vexsmt.RunMeta, stream func(w http.ResponseWriter)) *httptest.Server {
 	t.Helper()
-	meta := vexsmt.RunMeta{SchemaVersion: vexsmt.SchemaVersion, Seed: 1, Scale: testScale}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/plans", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodDelete {
-			w.WriteHeader(http.StatusNoContent)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
+		w.Header().Set("Content-Type", "application/x-ndjson")
 		json.NewEncoder(w).Encode(map[string]any{"id": "p1", "cells": 1, "meta": meta})
-	})
-	mux.HandleFunc("/v1/results", func(w http.ResponseWriter, r *http.Request) {
 		stream(w)
 	})
 	return httptest.NewServer(mux)
+}
+
+// testJob is the one-cell job the fake-daemon tests submit.
+var testJob = shard.Job{
+	Cells: []vexsmt.CellSpec{{Mix: "mmhh", Technique: "SMT", Threads: 2}},
+	Scale: testScale,
+	Seed:  1,
 }
 
 // TestHTTPRunTornStreamIsRetryable: a daemon that dies mid-stream —
@@ -55,23 +60,47 @@ func TestHTTPRunTornStreamIsRetryable(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			ts := fakeDaemon(t, stream)
+			ts := fakeDaemon(t, daemonMeta(), stream)
 			defer ts.Close()
 			b, err := shard.NewHTTP(ts.URL)
 			if err != nil {
 				t.Fatal(err)
 			}
-			job := shard.Job{
-				Cells: []vexsmt.CellSpec{{Mix: "mmhh", Technique: "SMT", Threads: 2}},
-				Scale: testScale,
-				Seed:  1,
-			}
-			rs, err := b.Run(context.Background(), job)
+			rs, err := b.Run(context.Background(), testJob)
 			if err == nil {
 				t.Fatalf("torn stream returned a ResultSet with %d cells", len(rs.Cells))
 			}
+			if strings.Contains(err.Error(), "daemon accepted plan") {
+				t.Fatalf("ack refused before the stream was read: %v", err)
+			}
 			if sched.IsPermanent(err) {
 				t.Fatalf("torn stream marked Permanent — the coordinator would not retry: %v", err)
+			}
+		})
+	}
+}
+
+// TestHTTPRunRejectsForeignMeta: a daemon whose ack stamps a different
+// schema, seed, scale or technique set than the job wants is refused on
+// the ack line, before any cell is read.
+func TestHTTPRunRejectsForeignMeta(t *testing.T) {
+	for name, rewrite := range map[string]func(*vexsmt.RunMeta){
+		"schema":     func(m *vexsmt.RunMeta) { m.SchemaVersion++ },
+		"seed":       func(m *vexsmt.RunMeta) { m.Seed = 99 },
+		"scale":      func(m *vexsmt.RunMeta) { m.Scale = 1 },
+		"techniques": func(m *vexsmt.RunMeta) { m.Techniques = "SMT" },
+	} {
+		t.Run(name, func(t *testing.T) {
+			meta := daemonMeta()
+			rewrite(&meta)
+			ts := fakeDaemon(t, meta, func(http.ResponseWriter) {})
+			defer ts.Close()
+			b, err := shard.NewHTTP(ts.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.Run(context.Background(), testJob); err == nil || !strings.Contains(err.Error(), "daemon accepted plan") {
+				t.Fatalf("foreign %s: got %v, want the ack refused", name, err)
 			}
 		})
 	}

@@ -52,14 +52,19 @@ func writeTestCorpus(t *testing.T, names ...string) string {
 // pollute the process-global corpus) with the given directory loaded.
 func workloadService(t *testing.T, dir string, opts ...Option) *Service {
 	t.Helper()
-	opts = append([]Option{withWorkloadStore(wstore.New()), WithWorkloadDir(dir)}, opts...)
-	return testService(t, opts...)
+	st := wstore.New()
+	if _, err := st.LoadDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	return testService(t, append([]Option{withWorkloadStore(st)}, opts...)...)
 }
 
-func TestWithWorkloadDirLoadsCorpus(t *testing.T) {
+func TestLoadWorkloadsAndPrivateStore(t *testing.T) {
 	dir := writeTestCorpus(t, "idct", "mcf")
-	svc := workloadService(t, dir)
-	refs := svc.WorkloadRefs()
+	refs, err := LoadWorkloads(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(refs) != 2 {
 		t.Fatalf("loaded %d workloads, want 2: %v", len(refs), refs)
 	}
@@ -70,9 +75,22 @@ func TestWithWorkloadDirLoadsCorpus(t *testing.T) {
 			t.Fatalf("ref %d = %q (name %q, hash %q), want %s<64 hex digits>", i, refs[i], name, hash, want)
 		}
 	}
-	// A service without a corpus advertises none.
-	if refs := testService(t).WorkloadRefs(); len(refs) != 0 {
-		t.Fatalf("corpus-less service advertises %v", refs)
+	if _, err := LoadWorkloads(filepath.Join(dir, "nosuch")); err == nil {
+		t.Fatal("missing corpus directory accepted")
+	}
+	// A private store loaded from the same directory holds the same
+	// content references...
+	svc := workloadService(t, dir)
+	for _, ref := range refs {
+		cells, err := svc.PlanCells(Plan{Cells: []CellSpec{{Workload: ref, Technique: "SMT", Threads: 2}}})
+		if err != nil || cells[0].Workload != ref {
+			t.Fatalf("private store does not resolve %s: %v %+v", ref, err, cells)
+		}
+	}
+	// ...and an empty private store knows none of them, although the
+	// shared store does.
+	if _, err := testService(t, withWorkloadStore(wstore.New())).PlanCells(Plan{Workloads: refs[:1]}); err == nil {
+		t.Fatal("empty private store resolved a workload of the shared store")
 	}
 }
 
@@ -113,7 +131,7 @@ func TestWorkloadResolution(t *testing.T) {
 		t.Fatalf("error does not list the loaded corpus: %v", err)
 	}
 
-	// Without any corpus the error points at WithWorkloadDir instead of
+	// Without any corpus the error points at LoadWorkloads instead of
 	// listing an empty corpus.
 	if _, err := testService(t, withWorkloadStore(wstore.New())).PlanCells(Plan{Workloads: []string{"idct"}}); err == nil {
 		t.Fatal("workload accepted without a corpus")
@@ -131,16 +149,16 @@ func TestWorkloadResolution(t *testing.T) {
 
 func TestWorkloadAxisCrossesGrid(t *testing.T) {
 	dir := writeTestCorpus(t, "idct", "mcf")
-	svc := workloadService(t, dir, WithTechniques("SMT", "CSMT"))
+	svc := workloadService(t, dir)
 
-	// Workloads cross techniques x {2,4} threads, additive with the figure
-	// grid and multiplied by the predictor axis like mix cells.
+	// Workloads cross every technique x {2,4} threads, additive with the
+	// figure grid and multiplied by the predictor axis like mix cells.
 	cells, err := svc.PlanCells(Plan{Workloads: []string{"idct", "mcf"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 2*2*2 { // 2 workloads x 2 techniques x 2 thread counts
-		t.Fatalf("workload plan has %d cells, want 8", len(cells))
+	if len(cells) != 2*8*2 { // 2 workloads x 8 techniques x 2 thread counts
+		t.Fatalf("workload plan has %d cells, want 32", len(cells))
 	}
 	for _, c := range cells {
 		if c.Mix != "" || c.Workload == "" {
@@ -154,8 +172,8 @@ func TestWorkloadAxisCrossesGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(crossed) != 2*2*2 { // 2 predictors x 2 techniques x 2 thread counts
-		t.Fatalf("predictor-crossed workload plan has %d cells, want 8", len(crossed))
+	if len(crossed) != 2*8*2 { // 2 predictors x 8 techniques x 2 thread counts
+		t.Fatalf("predictor-crossed workload plan has %d cells, want 32", len(crossed))
 	}
 }
 
@@ -166,8 +184,15 @@ func TestWorkloadAxisCrossesGrid(t *testing.T) {
 // exactly these three equivalences.
 func TestWorkloadCellsByteIdentical(t *testing.T) {
 	dir := writeTestCorpus(t, "idct", "mcf")
-	plan := Plan{Workloads: []string{"idct", "mcf"}}
-	opts := []Option{WithTechniques("SMT", "CCSI AS")}
+	// Two techniques of the workload grid keep the sweep small.
+	var plan Plan
+	for _, w := range []string{"idct", "mcf"} {
+		for _, tech := range []string{"SMT", "CCSI AS"} {
+			for _, threads := range []int{2, 4} {
+				plan.Cells = append(plan.Cells, CellSpec{Workload: w, Technique: tech, Threads: threads})
+			}
+		}
+	}
 
 	collect := func(svc *Service) string {
 		t.Helper()
@@ -178,20 +203,20 @@ func TestWorkloadCellsByteIdentical(t *testing.T) {
 		return encodeCanonical(t, rs)
 	}
 
-	serial := collect(workloadService(t, dir, append(opts, WithParallelism(1))...))
-	parallel := collect(workloadService(t, dir, append(opts, WithParallelism(4))...))
+	serial := collect(workloadService(t, dir, WithParallelism(1)))
+	parallel := collect(workloadService(t, dir, WithParallelism(4)))
 	if serial != parallel {
 		t.Fatalf("parallel replay diverged from serial:\n%s\nvs\n%s", serial, parallel)
 	}
 
 	// Cached recall: the second sweep runs zero simulations and returns the
 	// same bytes the first one stored.
-	cached := workloadService(t, dir, append(opts, WithCache(newMapCache()))...)
+	cached := workloadService(t, dir, WithCache(newMapCache()))
 	first := collect(cached)
 	if n := cached.SimulationsRun(); n == 0 {
 		t.Fatal("cold sweep simulated nothing")
 	}
-	warm := workloadService(t, dir, append(opts, WithCache(cached.cache))...)
+	warm := workloadService(t, dir, WithCache(cached.cache))
 	second := collect(warm)
 	if n := warm.SimulationsRun(); n != 0 {
 		t.Fatalf("warm sweep ran %d simulations, want 0", n)
