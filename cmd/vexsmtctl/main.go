@@ -27,7 +27,6 @@
 //	vexsmtctl -coordinator :9090            # host the fleet registry
 //	vexsmtctl -fleet http://host:9090 -status            # member table
 //	vexsmtctl -fleet http://host:9090 -fig 14            # fleet sweep
-//	vexsmtctl -fleet http://host:9090 -fig 14 -prefetch  # warm caches only
 package main
 
 import (
@@ -119,7 +118,6 @@ func run(args []string) error {
 		fleetTTL    = fs.Duration("fleet-ttl", fleet.DefaultTTL, "with -coordinator: registration lease; members silent longer are evicted")
 		fleetURL    = fs.String("fleet", "", "fleet registry URL; the sweep runs across the daemons registered there")
 		status      = fs.Bool("status", false, "with -fleet: print the fleet's member table and exit")
-		prefetch    = fs.Bool("prefetch", false, "with -fleet: push the plan's cells to the fleet's caches, wait for warm-up, and exit")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -152,8 +150,8 @@ func run(args []string) error {
 	if *fleetURL != "" && len(urls) > 0 {
 		return fmt.Errorf("-fleet and -shards are exclusive: the fleet registry replaces the static backend list")
 	}
-	if (*status || *prefetch) && *fleetURL == "" {
-		return fmt.Errorf("-status and -prefetch need -fleet (the registry to talk to)")
+	if *status && *fleetURL == "" {
+		return fmt.Errorf("-status needs -fleet (the registry to talk to)")
 	}
 
 	// Only the in-process sweep path opens the disk cache — a remote run
@@ -207,10 +205,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *prefetch {
-		return runPrefetch(ctx, *fleetURL, plan, *scale, *seed)
-	}
-
 	start := time.Now()
 	var rs *vexsmt.ResultSet
 	nBackends := len(urls)
@@ -411,79 +405,6 @@ func printFleetStatus(ctx context.Context, registryURL string) error {
 			(time.Duration(m.UptimeSeconds) * time.Second).String())
 	}
 	return nil
-}
-
-// runPrefetch pushes the plan's cells across the fleet's caches
-// (round-robin over the cacheful members) and waits until every member's
-// background warm-up drains, so a sweep scheduled right after runs
-// against a warm fleet.
-func runPrefetch(ctx context.Context, registryURL string, plan vexsmt.Plan, scale int64, seed uint64) error {
-	scratch, err := vexsmt.New(vexsmt.WithScale(scale), vexsmt.WithSeed(seed))
-	if err != nil {
-		return err
-	}
-	cells, err := scratch.PlanCells(plan)
-	if err != nil {
-		return err
-	}
-	members, err := fleet.FetchMembers(ctx, nil, registryURL)
-	if err != nil {
-		return err
-	}
-	assignments := fleet.Assign(cells, members)
-	if err := fleet.Push(ctx, nil, assignments, scale, seed); err != nil {
-		return err
-	}
-	for _, a := range assignments {
-		fmt.Printf("prefetch: %d cell(s) -> %s\n", len(a.Cells), a.Member.ID)
-	}
-	deadline := time.Now().Add(10 * time.Minute)
-	for {
-		warming := 0
-		for _, a := range assignments {
-			n, err := prefetchActive(ctx, a.Member.URL)
-			if err != nil {
-				continue // a dead member costs warmth, not the prefetch
-			}
-			warming += n
-		}
-		if warming == 0 {
-			fmt.Printf("prefetch: fleet warm (%d cells over %d member(s))\n", len(cells), len(assignments))
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("prefetch still warming after 10m")
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(200 * time.Millisecond):
-		}
-	}
-}
-
-// prefetchActive reads one daemon's background warm-up count off
-// /healthz.
-func prefetchActive(ctx context.Context, baseURL string) (int, error) {
-	ctx, cancel := context.WithTimeout(ctx, 3*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		strings.TrimRight(baseURL, "/")+"/healthz", nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	var out struct {
-		PrefetchActive int `json:"prefetch_active"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return 0, err
-	}
-	return out.PrefetchActive, nil
 }
 
 // liveProgress wires a single-line progress meter into cfg and returns a

@@ -78,11 +78,10 @@ func TestBadCacheFlagRejected(t *testing.T) {
 // alone) die before any network traffic.
 func TestFleetFlagValidation(t *testing.T) {
 	for name, args := range map[string][]string{
-		"fleet-and-shards":       {"-fleet", "http://r:9090", "-shards", "http://a:8080"},
-		"status-without-fleet":   {"-status"},
-		"prefetch-without-fleet": {"-prefetch"},
-		"bad-fleet-url":          {"-fleet", "not-a-url", "-fig", "14"},
-		"negative-ttl":           {"-coordinator", "127.0.0.1:0", "-fleet-ttl", "-1s"},
+		"fleet-and-shards":     {"-fleet", "http://r:9090", "-shards", "http://a:8080"},
+		"status-without-fleet": {"-status"},
+		"bad-fleet-url":        {"-fleet", "not-a-url", "-fig", "14"},
+		"negative-ttl":         {"-coordinator", "127.0.0.1:0", "-fleet-ttl", "-1s"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			if err := run(args); err == nil {

@@ -1,22 +1,18 @@
 // Command vexsmtd serves the split-issue simulator over HTTP/JSON, built
 // entirely on the public pkg/vexsmt API (see pkg/vexsmt/server for the
-// implementation). Plans are submitted, observed (snapshot or NDJSON
-// stream) and cancelled through a small /v1 surface:
+// implementation). A plan runs for the length of one request, which
+// streams its cells back as NDJSON; hanging up cancels it:
 //
 //	vexsmtd -addr :8080 -scale 1000
 //
-//	curl -s localhost:8080/v1/plans -d '{"figures":["14"]}'
-//	curl -sN 'localhost:8080/v1/plans?stream=1' -d '{"figures":["14"]}'
-//	curl -s 'localhost:8080/v1/results?id=plan-1'
-//	curl -sN 'localhost:8080/v1/results?id=plan-1&stream=1'
-//	curl -s -X DELETE 'localhost:8080/v1/plans?id=plan-1'
+//	curl -sN localhost:8080/v1/plans -d '{"figures":["14"]}'
 //	curl -s localhost:8080/healthz
 //
 // Results follow the versioned JSON schema of pkg/vexsmt (SchemaVersion);
 // see the package documentation for the determinism and cancellation
-// contract. On SIGINT/SIGTERM the daemon cancels every running plan (so
-// attached NDJSON streams receive a terminal "cancelled" status line),
-// drains in-flight requests for up to -drain, and exits.
+// contract. On SIGINT/SIGTERM the daemon cancels every running plan and
+// refuses new ones (each open stream receives a terminal "cancelled"
+// status line), drains in-flight requests for up to -drain, and exits.
 //
 // With -join, the daemon becomes a fleet member (see pkg/vexsmt/fleet):
 // it registers with the registry at the given URL, heartbeats its
@@ -241,27 +237,13 @@ func run(args []string) error {
 	fmt.Println("vexsmtd: signal received; cancelling running plans and draining")
 	shctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
-	// Shutdown stops intake and waits for in-flight requests — but NDJSON
-	// result streams only end once their jobs reach a terminal state, so
-	// jobs must be cancelled while Shutdown drains. A plan can also slip in
-	// between a CancelJobs snapshot and intake actually closing, so keep
-	// cancelling until the drain completes, then sweep once more for any
-	// job registered by a request that finished during the last gap.
-	done := make(chan error, 1)
-	go func() { done <- hs.Shutdown(shctx) }()
-	var drainErr error
-	for draining := true; draining; {
-		srv.CancelJobs()
-		select {
-		case drainErr = <-done:
-			draining = false
-		case <-time.After(200 * time.Millisecond):
-		}
-	}
+	// A plan's stream ends once its plan is cancelled, and CancelJobs also
+	// refuses every plan that arrives after it, so Shutdown — which stops
+	// intake and waits for in-flight requests — drains every stream.
 	srv.CancelJobs()
-	if drainErr != nil {
+	if err := hs.Shutdown(shctx); err != nil {
 		hs.Close()
-		return fmt.Errorf("drain: %w", drainErr)
+		return fmt.Errorf("drain: %w", err)
 	}
 	return nil
 }

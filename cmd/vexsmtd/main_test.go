@@ -1,11 +1,15 @@
 package main
 
 import (
+	"bufio"
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -76,5 +80,90 @@ func TestSlowHeaderConnectionClosed(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < hs.ReadHeaderTimeout {
 		t.Fatalf("connection closed after %s, before the %s header budget", elapsed, hs.ReadHeaderTimeout)
+	}
+}
+
+// TestSignalShutdownEndsStreams drives a served daemon through a real
+// SIGTERM: the open plan stream ends with a terminal "cancelled" line,
+// and run returns nil within the drain time.
+func TestSignalShutdownEndsStreams(t *testing.T) {
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = pw
+	defer func() { os.Stdout = stdout }()
+
+	errc := make(chan error, 1)
+	go func() {
+		errc <- run([]string{"-addr", "127.0.0.1:0", "-cache", "off", "-scale", "50", "-drain", "10s"})
+		pw.Close()
+	}()
+	// run registers its signal handler before it prints the listening
+	// line; the reader drains the pipe to its end so run never blocks.
+	addrc := make(chan string, 1)
+	go func() {
+		sc := bufio.NewScanner(pr)
+		for sc.Scan() {
+			if rest, ok := strings.CutPrefix(sc.Text(), "vexsmtd listening on "); ok {
+				addrc <- strings.Fields(rest)[0]
+			}
+		}
+	}()
+	var addr string
+	select {
+	case addr = <-addrc:
+	case err := <-errc:
+		t.Fatalf("run returned before listening: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("no listening line within 10s")
+	}
+
+	resp, err := http.Post("http://"+addr+"/v1/plans", "application/json", strings.NewReader(`{"figures":["14"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	body := bufio.NewReader(resp.Body)
+	if _, err := body.ReadString('\n'); err != nil {
+		t.Fatalf("no ack line: %v", err)
+	}
+
+	self, err := os.FindProcess(os.Getpid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := self.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+
+	rest := make(chan string, 1)
+	go func() {
+		b, _ := io.ReadAll(body)
+		rest <- string(b)
+	}()
+	select {
+	case tail := <-rest:
+		lines := strings.Split(strings.TrimSpace(tail), "\n")
+		var end struct {
+			Status string `json:"status"`
+		}
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &end); err != nil || end.Status != "cancelled" {
+			t.Fatalf("stream ended with %q, want a terminal cancelled line", lines[len(lines)-1])
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("stream still open 10s after SIGTERM")
+	}
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("run after SIGTERM: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not return within the 10s drain")
 	}
 }

@@ -32,7 +32,7 @@ type Disk struct {
 	// entries/bytes approximate the store's footprint: seeded by a scan at
 	// open and adjusted by this process's Puts and corrupt-entry removals.
 	// Other processes sharing the directory drift the numbers — they are a
-	// sizing signal for prefetch/eviction decisions, not accounting.
+	// sizing signal for placement/eviction decisions, not accounting.
 	entries, bytes atomic.Int64
 	counters
 }

@@ -45,7 +45,7 @@ type CacheStats struct {
 }
 
 // CacheSize is a cache's current footprint: live entries and their payload
-// bytes. Both are sizing signals (prefetch planning, eviction pressure,
+// bytes. Both are sizing signals (placement, eviction pressure,
 // the fleet /healthz rollup), not accounting — implementations sharing a
 // directory between processes report their best local approximation.
 type CacheSize struct {

@@ -210,7 +210,7 @@ func (s stubRT) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // TestChaosScheduleReproducible drives the transport with the request
-// mix of a sweep (submits, result streams, heartbeats, peer fills)
+// mix of a sweep (streamed submits, health probes, heartbeats, peer fills)
 // twice under one seed and once under another: same seed reproduces
 // the identical fault schedule, a different seed does not.
 func TestChaosScheduleReproducible(t *testing.T) {
@@ -237,7 +237,7 @@ func TestChaosScheduleReproducible(t *testing.T) {
 		}
 		for i := 0; i < 25; i++ {
 			do("POST", "http://daemon-a/v1/plans", fmt.Sprintf(`{"cells":["c%d"]}`, i))
-			do("GET", "http://daemon-a/v1/results?stream=1&id=p1", "")
+			do("GET", "http://daemon-a/healthz", "")
 			do("POST", "http://registry/v1/fleet/register", `{"id":"daemon-a"}`)
 			do("GET", fmt.Sprintf("http://daemon-b/v1/cache/key%d", i), "")
 		}

@@ -4,8 +4,7 @@
 // disappear from placement without operator action; and the membership
 // doubles as a cache fabric — a daemon that misses its local result
 // cache asks its peers for the content-addressed entry before
-// simulating, and a coordinator can push an upcoming plan's cells to the
-// fleet for background warming.
+// simulating, so a sweep warms a cold member as it goes.
 //
 // None of this machinery can change results. Cache entries are
 // content-addressed (vexsmt.CacheKey) and checksummed in transit, so a

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -228,40 +227,6 @@ func TestHeartbeatSurvivesRegistryOutage(t *testing.T) {
 	}
 	if len(h.Peers()) != 0 {
 		t.Fatal("peers invented without a successful beat")
-	}
-}
-
-func TestAssignRoundRobinIsDeterministic(t *testing.T) {
-	cells := []vexsmt.CellSpec{
-		{Mix: "c0"}, {Mix: "c1"}, {Mix: "c2"}, {Mix: "c3"}, {Mix: "c4"},
-	}
-	noCache := member("a-first", "http://a:1")
-	noCache.CacheEnabled = false
-	// Members arrive unsorted; the deal is by ID order among cacheful ones.
-	members := []fleet.Member{member("m2", "http://m2:1"), noCache, member("m1", "http://m1:1")}
-
-	as := fleet.Assign(cells, members)
-	if len(as) != 2 {
-		t.Fatalf("%d assignments, want 2 (cacheless member excluded)", len(as))
-	}
-	if as[0].Member.ID != "m1" || as[1].Member.ID != "m2" {
-		t.Fatalf("assignment order %s,%s, want m1,m2", as[0].Member.ID, as[1].Member.ID)
-	}
-	if got := fmt.Sprint(as[0].Cells); got != fmt.Sprint([]vexsmt.CellSpec{{Mix: "c0"}, {Mix: "c2"}, {Mix: "c4"}}) {
-		t.Fatalf("m1 cells %v", as[0].Cells)
-	}
-	if got := fmt.Sprint(as[1].Cells); got != fmt.Sprint([]vexsmt.CellSpec{{Mix: "c1"}, {Mix: "c3"}}) {
-		t.Fatalf("m2 cells %v", as[1].Cells)
-	}
-
-	// Same inputs, same deal.
-	again := fleet.Assign(cells, members)
-	if fmt.Sprint(again) != fmt.Sprint(as) {
-		t.Fatal("assignment is not deterministic")
-	}
-
-	if fleet.Assign(cells, []fleet.Member{noCache}) != nil {
-		t.Fatal("assignment to a cacheless fleet should be empty")
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"vexsmt/pkg/vexsmt"
 	"vexsmt/pkg/vexsmt/cache"
@@ -32,11 +31,10 @@ func encodeCanonical(t *testing.T, rs *vexsmt.ResultSet) string {
 
 // TestFleetSweepAndPeerFill drives the whole fleet stack in-process: two
 // daemons self-register (the registry shares daemon A's mux),
-// a registry-sourced coordinator sweeps them, and then cold daemons
-// join and serve the same plan purely from their peers' caches — first
-// pulled on demand by a sweep, then pushed ahead of one by prefetch. The
-// exports of all three sweeps must be byte-identical to a single-process
-// run.
+// a registry-sourced coordinator sweeps them, and then a cold daemon
+// joins and serves the same plan purely from its peers' caches, pulled
+// on demand by a sweep. The exports of both sweeps must be byte-identical
+// to a single-process run.
 func TestFleetSweepAndPeerFill(t *testing.T) {
 	svc, err := vexsmt.New(vexsmt.WithScale(testScale), vexsmt.WithSeed(1))
 	if err != nil {
@@ -148,53 +146,5 @@ func TestFleetSweepAndPeerFill(t *testing.T) {
 	}
 	if st := pfC.Stats(); st.PeerHits != int64(len(cells)) {
 		t.Fatalf("peer hits %d, want %d (every cell filled from a peer)", st.PeerHits, len(cells))
-	}
-
-	// Daemon D joins cold and is warmed by a coordinated prefetch push
-	// before any sweep touches it.
-	beat()
-	pfD := cache.WithPeerFill(cache.NewMemory(0),
-		fleet.NewFetcher("d", func() []fleet.Member { return registry.Members() }).Fetch)
-	srvD := server.New(testScale, 1, 2, server.WithCache(pfD))
-	tsD := httptest.NewServer(srvD.Handler())
-	defer tsD.Close()
-
-	as := fleet.Assign(cells, []fleet.Member{{ID: "d", URL: tsD.URL, CacheEnabled: true}})
-	if err := fleet.Push(context.Background(), nil, as, testScale, 1); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for srvD.Stats().PrefetchActive > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("prefetch never drained")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if st := pfD.Stats(); st.PeerHits != int64(len(cells)) {
-		t.Fatalf("prefetch peer hits %d, want %d (warm-up must not simulate)", st.PeerHits, len(cells))
-	}
-
-	// Sweep 3 at D: pure cache recall of the pushed entries.
-	bD, err := shard.NewHTTP(tsD.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var progD shard.Progress
-	coordD, err := shard.New(shard.Config{
-		Scale: testScale, Seed: 1,
-		OnProgress: func(p shard.Progress) { progD = p },
-	}, bD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsD, err := coordD.Collect(context.Background(), testPlan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if encodeCanonical(t, rsD) != baseline {
-		t.Fatal("prefetched sweep diverged from single-process baseline")
-	}
-	if progD.CacheMisses != 0 || progD.CacheHits != len(cells) {
-		t.Fatalf("prefetched daemon simulated: %+v, want %d pure cache hits", progD, len(cells))
 	}
 }

@@ -6,26 +6,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"vexsmt/pkg/vexsmt/cache"
 )
-
-// waitTerminal polls a plan until it leaves "running".
-func waitTerminal(t *testing.T, ts *httptest.Server, id string) resultsResponse {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		res := getResults(t, ts, id)
-		if res.Status != "running" {
-			return res
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("plan %s still running after 30s", id)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
 
 // TestServerCacheWarmPlansAndHealthz: two submissions of the same cells
 // share the server's cache (the second is all hits, visible on /healthz),
@@ -39,7 +22,7 @@ func TestServerCacheWarmPlansAndHealthz(t *testing.T) {
 		{"mix":"mmhh","technique":"CSMT","threads":4},
 		{"mix":"mmhh","technique":"CCSI AS","threads":4}]}`
 
-	cold := waitTerminal(t, ts, postPlan(t, ts, body))
+	cold := runPlan(t, ts, body)
 	if cold.Status != "done" {
 		t.Fatalf("cold plan %q", cold.Status)
 	}
@@ -52,7 +35,7 @@ func TestServerCacheWarmPlansAndHealthz(t *testing.T) {
 		}
 	}
 
-	warm := waitTerminal(t, ts, postPlan(t, ts, body))
+	warm := runPlan(t, ts, body)
 	if warm.Status != "done" {
 		t.Fatalf("warm plan %q", warm.Status)
 	}
@@ -74,8 +57,8 @@ func TestServerCacheWarmPlansAndHealthz(t *testing.T) {
 
 	// cache=off bypasses the shared cache entirely.
 	before := mem.Stats()
-	off := waitTerminal(t, ts, postPlan(t, ts, `{"cache":"off","cells":[
-		{"mix":"mmhh","technique":"CSMT","threads":4}]}`))
+	off := runPlan(t, ts, `{"cache":"off","cells":[
+		{"mix":"mmhh","technique":"CSMT","threads":4}]}`)
 	if off.Status != "done" {
 		t.Fatalf("cache=off plan %q", off.Status)
 	}
@@ -159,8 +142,8 @@ func TestServerWithoutCacheHealthz(t *testing.T) {
 	if hz.Cache.Enabled {
 		t.Fatal("cache reported enabled on a cache-less server")
 	}
-	res := waitTerminal(t, ts, postPlan(t, ts, `{"cache":"on","cells":[
-		{"mix":"llll","technique":"SMT","threads":2}]}`))
+	res := runPlan(t, ts, `{"cache":"on","cells":[
+		{"mix":"llll","technique":"SMT","threads":2}]}`)
 	if res.Status != "done" {
 		t.Fatalf("cache=on plan on cache-less server: %q", res.Status)
 	}

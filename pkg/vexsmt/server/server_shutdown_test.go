@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -15,17 +14,16 @@ import (
 	"vexsmt/pkg/vexsmt/cache"
 )
 
-// TestGracefulShutdownDrainsStreamsAndPrefetch exercises the vexsmtd
-// shutdown sequence against a server with a running plan, an attached
-// NDJSON stream, and a background prefetch in flight: the Shutdown +
-// CancelJobs drain loop must end the stream with a terminal status line
-// (not a dropped connection), finish within the drain budget, and leave
-// no server goroutines behind.
-func TestGracefulShutdownDrainsStreamsAndPrefetch(t *testing.T) {
+// TestGracefulShutdownDrainsStreams exercises the vexsmtd shutdown
+// sequence against a server with a plan streaming: one CancelJobs, then
+// Shutdown, must end the stream with a terminal status line (not a
+// dropped connection), finish within the drain budget, and leave no
+// server goroutines behind.
+func TestGracefulShutdownDrainsStreams(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
 	// Scale 500 makes cells slow enough (vs the usual test scale 20000)
-	// that the plan and prefetch are still running at shutdown.
+	// that the plan is still running at shutdown.
 	srv := New(500, 1, 2, WithCache(cache.NewMemory(0)))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -39,43 +37,17 @@ func TestGracefulShutdownDrainsStreamsAndPrefetch(t *testing.T) {
 	client := &http.Client{Transport: tr}
 	defer tr.CloseIdleConnections()
 
-	resp, err := client.Post(base+"/v1/plans", "application/json",
+	// Post returns once the handler has pushed its headers (on its first
+	// tick), so the stream is wired up before shutdown begins.
+	stream, err := client.Post(base+"/v1/plans", "application/json",
 		strings.NewReader(`{"figures":["14"]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var plan struct {
-		ID string `json:"id"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&plan); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted || plan.ID == "" {
-		t.Fatalf("submit: status %d, id %q", resp.StatusCode, plan.ID)
-	}
-
-	pf, err := client.Post(base+"/v1/prefetch", "application/json",
-		strings.NewReader(`{"cells":[{"mix":"llll","technique":"SMT","threads":4},{"mix":"hhhh","technique":"SMT","threads":4}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pf.StatusCode != http.StatusAccepted {
-		var msg strings.Builder
-		io.Copy(&msg, pf.Body)
-		pf.Body.Close()
-		t.Fatalf("prefetch: status %d: %s", pf.StatusCode, msg.String())
-	}
-	pf.Body.Close()
-
-	// Attach the stream; Get returns once streamResults has pushed
-	// headers (on its first tick), so the watcher is wired up before
-	// shutdown begins.
-	stream, err := client.Get(base + "/v1/results?id=" + plan.ID + "&stream=1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer stream.Body.Close()
+	if stream.StatusCode != http.StatusOK {
+		t.Fatalf("submit: status %d", stream.StatusCode)
+	}
 	type streamEnd struct {
 		last map[string]any
 		err  error
@@ -96,25 +68,13 @@ func TestGracefulShutdownDrainsStreamsAndPrefetch(t *testing.T) {
 		endc <- streamEnd{last, sc.Err()}
 	}()
 
-	// The vexsmtd drain: Shutdown stops intake and waits for in-flight
-	// requests, while CancelJobs runs repeatedly so the NDJSON stream —
-	// which only ends at a terminal job state — can drain.
+	// The vexsmtd drain: cancel every plan, then let Shutdown wait for
+	// the streams to end.
+	srv.CancelJobs()
 	shctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- hs.Shutdown(shctx) }()
-	var drainErr error
-	for draining := true; draining; {
-		srv.CancelJobs()
-		select {
-		case drainErr = <-done:
-			draining = false
-		case <-time.After(50 * time.Millisecond):
-		}
-	}
-	srv.CancelJobs()
-	if drainErr != nil {
-		t.Fatalf("drain did not complete: %v", drainErr)
+	if err := hs.Shutdown(shctx); err != nil {
+		t.Fatalf("drain did not complete: %v", err)
 	}
 
 	var end streamEnd
@@ -140,8 +100,8 @@ func TestGracefulShutdownDrainsStreamsAndPrefetch(t *testing.T) {
 	<-serveDone
 	stream.Body.Close()
 	tr.CloseIdleConnections()
-	// Server goroutines (job consumers, prefetch workers, handlers) must
-	// all have unwound; allow a little settling and client-side slack.
+	// Server goroutines (handlers, plan workers) must all have unwound;
+	// allow a little settling and client-side slack.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= baseline+2 {

@@ -2,23 +2,26 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"vexsmt/pkg/vexsmt"
+	"vexsmt/pkg/vexsmt/cache"
 )
 
-// postStream submits body in the stream form and returns the response;
-// the caller closes its body.
+// postStream submits body and returns the response; the caller closes its
+// body.
 func postStream(t *testing.T, ctx context.Context, url, body string) *http.Response {
 	t.Helper()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/plans?stream=1", strings.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/plans", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,25 +48,8 @@ func readLines(t *testing.T, r io.Reader) []string {
 }
 
 type ack struct {
-	ID    string         `json:"id"`
 	Cells int            `json:"cells"`
 	Meta  vexsmt.RunMeta `json:"meta"`
-}
-
-func listedPlans(t *testing.T, ts *httptest.Server) []map[string]any {
-	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/plans")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out struct {
-		Plans []map[string]any `json:"plans"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	return out.Plans
 }
 
 func healthzRunning(t *testing.T, ts *httptest.Server) int {
@@ -82,65 +68,8 @@ func healthzRunning(t *testing.T, ts *httptest.Server) int {
 	return h.Running
 }
 
-// The stream form answers with the 202 form's ack, then exactly the lines
-// a GET stream of the same plan carries, and leaves no job behind.
-func TestStreamSubmitMatchesTwoStepProtocol(t *testing.T) {
-	ts := testServer()
-	defer ts.Close()
-	const plan = `{"cells":[
-		{"mix":"llll","technique":"SMT","threads":2},
-		{"mix":"mmhh","technique":"CCSI AS","threads":4}],"parallelism":1}`
-
-	// The two-step protocol: 202 submit, then GET the finished plan's stream.
-	resp, err := http.Post(ts.URL+"/v1/plans", "application/json", strings.NewReader(plan))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var accepted ack
-	err = json.NewDecoder(resp.Body).Decode(&accepted)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("202 submit: status %d, err %v", resp.StatusCode, err)
-	}
-	resp, err = http.Get(ts.URL + "/v1/results?stream=1&id=" + accepted.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := readLines(t, resp.Body)
-	resp.Body.Close()
-
-	resp = postStream(t, context.Background(), ts.URL, plan)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/x-ndjson" {
-		t.Fatalf("stream submit: status %d, content type %q", resp.StatusCode, resp.Header.Get("Content-Type"))
-	}
-	got := readLines(t, resp.Body)
-	if len(got) == 0 {
-		t.Fatal("stream submit: empty body")
-	}
-	var streamed ack
-	if err := json.Unmarshal([]byte(got[0]), &streamed); err != nil {
-		t.Fatalf("ack line %q: %v", got[0], err)
-	}
-	if streamed.ID == "" || streamed.ID == accepted.ID || streamed.Cells != accepted.Cells || streamed.Meta != accepted.Meta {
-		t.Fatalf("ack %+v, want the 202 form's %+v under a fresh id", streamed, accepted)
-	}
-	if strings.Join(got[1:], "\n") != strings.Join(want, "\n") {
-		t.Fatalf("stream-form lines differ from the GET stream:\n got %q\nwant %q", got[1:], want)
-	}
-	if !strings.Contains(want[len(want)-1], `"status":"done"`) || len(want) != 3 {
-		t.Fatalf("GET stream %q: want two cells and a done line", want)
-	}
-
-	// Only the two-step plan is still registered.
-	plans := listedPlans(t, ts)
-	if len(plans) != 1 || plans[0]["id"] != accepted.ID {
-		t.Fatalf("plans after the stream form returned: %v, want only %s", plans, accepted.ID)
-	}
-}
-
-// Everything that fails before the stream starts fails exactly as the 202
-// form does: a JSON error, never an NDJSON body.
+// Everything that fails before the stream starts is a JSON error, never an
+// NDJSON body.
 func TestStreamSubmitRejectsBeforeStreaming(t *testing.T) {
 	ts := testServer()
 	defer ts.Close()
@@ -182,7 +111,7 @@ func TestStreamSubmitRejectsBeforeStreaming(t *testing.T) {
 }
 
 // A client that hangs up mid-cell cancels its plan: the daemon's running
-// weight drains back to 0 and the job is evicted.
+// weight drains back to 0.
 func TestStreamSubmitDisconnectCancels(t *testing.T) {
 	// At this scale the plan's cells take seconds each, one at a time:
 	// running it out would take far longer than the deadline below.
@@ -201,32 +130,19 @@ func TestStreamSubmitDisconnectCancels(t *testing.T) {
 	cancel()
 	resp.Body.Close()
 
-	deadline := time.Now().Add(10 * time.Second)
-	for healthzRunning(t, ts) != 0 || len(listedPlans(t, ts)) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("10s after the client hung up: running %d, plans %v",
-				healthzRunning(t, ts), listedPlans(t, ts))
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitRunning(t, ts, 0)
 }
 
 // Buffered streaming still pushes a slow plan's headers within a tick, so
-// a watcher can tell "running" from "dead".
+// a client can tell "running" from "dead".
 func TestStreamHeadersWithinTick(t *testing.T) {
 	ts := httptest.NewServer(New(50, 1, 1).Handler()) // the cell takes seconds
 	defer ts.Close()
-	id := postPlan(t, ts, `{"cells":[{"mix":"hhhh","technique":"SMT","threads":4}]}`)
-	defer func() {
-		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/plans?id="+id, nil)
-		if resp, err := http.DefaultClient.Do(req); err == nil {
-			resp.Body.Close()
-		}
-	}()
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/results?stream=1&id="+id, nil)
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/plans",
+		strings.NewReader(`{"cells":[{"mix":"hhhh","technique":"SMT","threads":4}]}`))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("no stream headers within 1s: %v", err)
@@ -234,5 +150,91 @@ func TestStreamHeadersWithinTick(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("stream status %d", resp.StatusCode)
+	}
+}
+
+// flushCounter is a ResponseWriter that records what the handler wrote
+// and when it flushed, safe to read while the handler runs.
+type flushCounter struct {
+	header http.Header
+
+	mu        sync.Mutex
+	body      bytes.Buffer
+	firstSeen time.Time // first write
+	flushes   []time.Time
+}
+
+func (w *flushCounter) Header() http.Header { return w.header }
+func (w *flushCounter) WriteHeader(int)     {}
+
+func (w *flushCounter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.firstSeen.IsZero() {
+		w.firstSeen = time.Now()
+	}
+	return w.body.Write(p)
+}
+
+func (w *flushCounter) Flush() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.flushes = append(w.flushes, time.Now())
+}
+
+// TestStreamFlushRule pins when the stream handler flushes. A plan whose
+// only cell is a cache hit never waits holding unseen output, so it makes
+// no Flush call at all and leaves in the single write net/http makes when
+// the handler returns. A slow plan's ack is flushed on the first tick.
+func TestStreamFlushRule(t *testing.T) {
+	const cell = `{"cells":[{"mix":"llll","technique":"SMT","threads":2}]}`
+	mem := cache.NewMemory(0)
+	h := New(20000, 1, 2, WithCache(mem)).Handler()
+	serve := func(ctx context.Context, w *flushCounter, body string) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/plans", strings.NewReader(body)).WithContext(ctx)
+		h.ServeHTTP(w, r)
+	}
+	serve(context.Background(), &flushCounter{header: http.Header{}}, cell) // prime the cache
+
+	hit := &flushCounter{header: http.Header{}}
+	serve(context.Background(), hit, cell)
+	if len(hit.flushes) != 0 {
+		t.Fatalf("cache-hit plan flushed %d times, want 0", len(hit.flushes))
+	}
+	lines := strings.Split(strings.TrimSuffix(hit.body.String(), "\n"), "\n")
+	if len(lines) != 3 || !strings.Contains(lines[0], `"meta"`) ||
+		!strings.Contains(lines[1], `"cached":true`) || !strings.Contains(lines[2], `"status":"done"`) {
+		t.Fatalf("cache-hit reply %q: want one ack, one cached cell and one done line", lines)
+	}
+
+	slow := New(50, 1, 1).Handler()
+	ctx, cancel := context.WithCancel(context.Background())
+	w := &flushCounter{header: http.Header{}}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r := httptest.NewRequest(http.MethodPost, "/v1/plans",
+			strings.NewReader(`{"cells":[{"mix":"hhhh","technique":"SMT","threads":4}]}`)).WithContext(ctx)
+		slow.ServeHTTP(w, r)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		w.mu.Lock()
+		wrote, flushes, body := w.firstSeen, append([]time.Time(nil), w.flushes...), w.body.String()
+		w.mu.Unlock()
+		if len(flushes) > 0 {
+			if lag := flushes[0].Sub(wrote); !strings.Contains(body, `"meta"`) || lag > 200*time.Millisecond {
+				t.Fatalf("first flush %s after the ack was written, body %q; want the ack flushed within 200ms", lag, body)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("slow plan never flushed its ack")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -3,7 +3,9 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,52 +20,54 @@ func testServer() *httptest.Server {
 	return httptest.NewServer(New(20000, 1, 2).Handler())
 }
 
-func postPlan(t *testing.T, ts *httptest.Server, body string) string {
-	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/plans", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		t.Fatalf("POST /v1/plans: %d: %s", resp.StatusCode, buf.String())
-	}
-	var out struct {
-		ID    string         `json:"id"`
-		Cells int            `json:"cells"`
-		Meta  vexsmt.RunMeta `json:"meta"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Meta.SchemaVersion != vexsmt.SchemaVersion {
-		t.Fatalf("plan meta schema version %d, want %d", out.Meta.SchemaVersion, vexsmt.SchemaVersion)
-	}
-	return out.ID
+// planReply is one POST /v1/plans reply read to its end: the ack, every
+// cell line (sorted into the canonical order, under the ack's meta), and
+// the terminal status line.
+type planReply struct {
+	Ack       ack
+	Results   vexsmt.ResultSet
+	Status    string `json:"status"`
+	Error     string `json:"error"`
+	Completed int    `json:"completed"`
+	Cells     int    `json:"cells"`
 }
 
-type resultsResponse struct {
-	ID        string           `json:"id"`
-	Status    string           `json:"status"`
-	Error     string           `json:"error"`
-	Completed int              `json:"completed"`
-	Cells     int              `json:"cells"`
-	Results   vexsmt.ResultSet `json:"results"`
-}
-
-func getResults(t *testing.T, ts *httptest.Server, id string) resultsResponse {
+// runPlan posts body to /v1/plans, requires the 200 NDJSON reply, and
+// reads the stream through its terminal status line, which must be the
+// last line.
+func runPlan(t *testing.T, ts *httptest.Server, body string) planReply {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/results?id=" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := postStream(t, context.Background(), ts.URL, body)
 	defer resp.Body.Close()
-	var out resultsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/x-ndjson" {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("POST /v1/plans: status %d, content type %q: %s",
+			resp.StatusCode, resp.Header.Get("Content-Type"), msg)
 	}
+	lines := readLines(t, resp.Body)
+	if len(lines) < 2 {
+		t.Fatalf("reply %q: want an ack and a status line at least", lines)
+	}
+	var out planReply
+	if err := json.Unmarshal([]byte(lines[0]), &out.Ack); err != nil {
+		t.Fatalf("ack line %q: %v", lines[0], err)
+	}
+	if out.Ack.Meta.SchemaVersion != vexsmt.SchemaVersion {
+		t.Fatalf("plan meta schema version %d, want %d", out.Ack.Meta.SchemaVersion, vexsmt.SchemaVersion)
+	}
+	last := lines[len(lines)-1]
+	if err := json.Unmarshal([]byte(last), &out); err != nil || out.Status == "" {
+		t.Fatalf("last line %q is not a terminal status object (%v)", last, err)
+	}
+	out.Results.Meta = out.Ack.Meta
+	for _, line := range lines[1 : len(lines)-1] {
+		var cell vexsmt.CellResult
+		if err := json.Unmarshal([]byte(line), &cell); err != nil {
+			t.Fatalf("bad cell line %q: %v", line, err)
+		}
+		out.Results.Cells = append(out.Results.Cells, cell)
+	}
+	out.Results.Sort()
 	return out
 }
 
@@ -71,35 +75,40 @@ func TestSubmitAndCollectResults(t *testing.T) {
 	ts := testServer()
 	defer ts.Close()
 
-	id := postPlan(t, ts, `{"cells":[
+	const plan = `{"cells":[
 		{"mix":"mmhh","technique":"CSMT","threads":4},
-		{"mix":"mmhh","technique":"CCSI AS","threads":4}]}`)
-
-	deadline := time.Now().Add(30 * time.Second)
-	var res resultsResponse
-	for {
-		res = getResults(t, ts, id)
-		if res.Status != "running" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("plan still running after 30s: %+v", res)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+		{"mix":"mmhh","technique":"CCSI AS","threads":4}]}`
+	res := runPlan(t, ts, plan)
 	if res.Status != "done" || res.Error != "" {
 		t.Fatalf("terminal state %q (err %q), want done", res.Status, res.Error)
 	}
-	if res.Completed != 2 || len(res.Results.Cells) != 2 {
-		t.Fatalf("completed %d cells (%d in results), want 2", res.Completed, len(res.Results.Cells))
+	if res.Ack.Cells != 2 || res.Cells != 2 || res.Completed != 2 || len(res.Results.Cells) != 2 {
+		t.Fatalf("ack %d cells, status %d/%d, streamed %d; want 2 throughout",
+			res.Ack.Cells, res.Completed, res.Cells, len(res.Results.Cells))
 	}
-	if res.Results.Meta.SchemaVersion != vexsmt.SchemaVersion {
-		t.Fatalf("results schema version %d", res.Results.Meta.SchemaVersion)
+
+	// The streamed cells, sorted, are exactly what one process collects.
+	svc, err := vexsmt.New(vexsmt.WithScale(20000), vexsmt.WithSeed(1), vexsmt.WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range res.Results.Cells {
-		if c.IPC <= 0 {
-			t.Errorf("%s/%s/%dT: non-positive IPC", c.Mix, c.Technique, c.Threads)
-		}
+	var p vexsmt.Plan
+	if err := json.Unmarshal([]byte(plan), &p); err != nil {
+		t.Fatal(err)
+	}
+	want, err := svc.Collect(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, wantBuf bytes.Buffer
+	if err := vexsmt.EncodeResults(&got, &res.Results); err != nil {
+		t.Fatal(err)
+	}
+	if err := vexsmt.EncodeResults(&wantBuf, want); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != wantBuf.String() {
+		t.Fatalf("streamed results differ from Collect:\n got %s\nwant %s", got.String(), wantBuf.String())
 	}
 }
 
@@ -107,67 +116,21 @@ func TestStreamingResults(t *testing.T) {
 	ts := testServer()
 	defer ts.Close()
 
-	id := postPlan(t, ts, `{"cells":[
+	res := runPlan(t, ts, `{"cells":[
 		{"mix":"llll","technique":"SMT","threads":2},
 		{"mix":"mmmm","technique":"SMT","threads":2}]}`)
-
-	resp, err := http.Get(ts.URL + "/v1/results?id=" + id + "&stream=1")
-	if err != nil {
-		t.Fatal(err)
+	if len(res.Results.Cells) != 2 || res.Status != "done" {
+		t.Fatalf("streamed %d cells, final status %q; want 2/done", len(res.Results.Cells), res.Status)
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("content type %q", ct)
-	}
-	var cells int
-	var status string
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		var line map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+	for _, c := range res.Results.Cells {
+		if c.IPC <= 0 {
+			t.Errorf("%s: non-positive IPC", c.CellSpec)
 		}
-		if s, ok := line["status"].(string); ok {
-			status = s
-			break
-		}
-		cells++
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if cells != 2 || status != "done" {
-		t.Fatalf("streamed %d cells, final status %q; want 2/done", cells, status)
 	}
 }
 
-func TestCancelPlan(t *testing.T) {
-	ts := httptest.NewServer(New(50, 1, 2).Handler()) // slow cells
-	defer ts.Close()
-
-	id := postPlan(t, ts, `{"figures":["14","15","16"]}`)
-
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/plans?id="+id, nil)
-	start := time.Now()
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out struct {
-		Status string `json:"status"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Status != "cancelled" {
-		t.Fatalf("status %q after cancel", out.Status)
-	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("cancellation took %s", elapsed)
-	}
-}
-
+// TestBadRequests: a bad plan is a 400, POST is the only method on
+// /v1/plans, and the daemon serves no other plan routes.
 func TestBadRequests(t *testing.T) {
 	ts := testServer()
 	defer ts.Close()
@@ -187,13 +150,26 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("body %q: status %d, want 400", body, resp.StatusCode)
 		}
 	}
-	resp, err := http.Get(ts.URL + "/v1/results?id=missing")
-	if err != nil {
-		t.Fatal(err)
+	for _, method := range []string{http.MethodGet, http.MethodDelete} {
+		req, _ := http.NewRequest(method, ts.URL+"/v1/plans", nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s /v1/plans: status %d, want 405", method, resp.StatusCode)
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown plan: status %d, want 404", resp.StatusCode)
+	for _, route := range []string{"results", "prefetch"} {
+		resp, err := http.Post(ts.URL+"/v1/"+route, "application/json", strings.NewReader(`{}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("/v1/%s: status %d, want 404", route, resp.StatusCode)
+		}
 	}
 }
 
@@ -201,20 +177,9 @@ func TestSeedZeroOverrideHonored(t *testing.T) {
 	ts := testServer()
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/v1/plans", "application/json",
-		strings.NewReader(`{"cells":[{"mix":"llll","technique":"SMT","threads":2}],"seed":0}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out struct {
-		Meta vexsmt.RunMeta `json:"meta"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Meta.Seed != 0 {
-		t.Fatalf("explicit seed 0 ran with seed %d", out.Meta.Seed)
+	res := runPlan(t, ts, `{"cells":[{"mix":"llll","technique":"SMT","threads":2}],"seed":0}`)
+	if res.Ack.Meta.Seed != 0 {
+		t.Fatalf("explicit seed 0 ran with seed %d", res.Ack.Meta.Seed)
 	}
 }
 
@@ -233,64 +198,31 @@ func TestScaleZeroRejected(t *testing.T) {
 	}
 }
 
-func TestDeleteEvictsJob(t *testing.T) {
-	ts := testServer()
-	defer ts.Close()
-
-	id := postPlan(t, ts, `{"cells":[{"mix":"llll","technique":"SMT","threads":2}]}`)
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/plans?id="+id, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+// openStream posts body and reads the ack line of its 200 reply, leaving
+// the plan running until ctx ends or the caller closes the body.
+func openStream(t *testing.T, ctx context.Context, ts *httptest.Server, body string) *http.Response {
+	t.Helper()
+	resp := postStream(t, ctx, ts.URL, body)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("DELETE: status %d", resp.StatusCode)
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		t.Fatalf("POST /v1/plans: status %d: %s", resp.StatusCode, msg)
 	}
-	resp, err = http.Get(ts.URL + "/v1/results?id=" + id)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil {
+		t.Fatalf("no ack line: %v", err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("results after DELETE: status %d, want 404 (job evicted)", resp.StatusCode)
-	}
+	return resp
 }
 
-func TestTerminalJobEviction(t *testing.T) {
-	ts := testServer()
-	defer ts.Close()
-
-	// Submit past the retention cap; the oldest terminal jobs must age out.
-	firstID := postPlan(t, ts, `{"cells":[{"mix":"llll","technique":"SMT","threads":2}]}`)
-	waitDone := func(id string) {
-		deadline := time.Now().Add(30 * time.Second)
-		for getResults(t, ts, id).Status == "running" {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s still running", id)
-			}
-			time.Sleep(10 * time.Millisecond)
+// waitRunning polls /healthz until its running weight is want.
+func waitRunning(t *testing.T, ts *httptest.Server, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for healthzRunning(t, ts) != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("running %d after 10s, want %d", healthzRunning(t, ts), want)
 		}
-	}
-	waitDone(firstID)
-	// Submit sequentially (waiting each one out) so the running-jobs cap
-	// never rejects a submission; eviction is what's under test here.
-	var lastID string
-	for i := 0; i < maxRetainedJobs; i++ {
-		lastID = postPlan(t, ts, `{"cells":[{"mix":"llll","technique":"SMT","threads":2}]}`)
-		waitDone(lastID)
-	}
-
-	resp, err := http.Get(ts.URL + "/v1/results?id=" + firstID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("oldest terminal job not evicted past the cap: status %d", resp.StatusCode)
-	}
-	if got := getResults(t, ts, lastID); got.Status != "done" {
-		t.Fatalf("newest job lost: %+v", got)
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -299,9 +231,11 @@ func TestRunningJobsCap(t *testing.T) {
 	defer ts.Close()
 
 	// Fill the admission cap with long-running plans, then expect 503.
-	ids := make([]string, 0, maxRunningJobs)
+	var streams []*http.Response
 	for i := 0; i < maxRunningJobs; i++ {
-		ids = append(ids, postPlan(t, ts, `{"figures":["14"]}`))
+		resp := openStream(t, context.Background(), ts, `{"figures":["14"]}`)
+		defer resp.Body.Close()
+		streams = append(streams, resp)
 	}
 	resp, err := http.Post(ts.URL+"/v1/plans", "application/json",
 		strings.NewReader(`{"figures":["14"]}`))
@@ -315,20 +249,12 @@ func TestRunningJobsCap(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("admission shedding without a Retry-After hint")
 	}
-	// Cancelling one frees capacity.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/plans?id="+ids[0], nil)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	postPlan(t, ts, `{"cells":[{"mix":"llll","technique":"SMT","threads":2}]}`)
-	for _, id := range ids[1:] {
-		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/plans?id="+id, nil)
-		if resp, err := http.DefaultClient.Do(req); err == nil {
-			resp.Body.Close()
-		}
-	}
+	// Hanging up on one frees capacity.
+	streams[0].Body.Close()
+	waitRunning(t, ts, maxRunningJobs-1)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	openStream(t, ctx, ts, `{"cells":[{"mix":"llll","technique":"SMT","threads":2}]}`).Body.Close()
 }
 
 func TestHealthzReportsPlacementSignals(t *testing.T) {
@@ -379,19 +305,12 @@ func TestHealthzReportsPlacementSignals(t *testing.T) {
 		t.Fatalf("cacheless healthz reported cache sizing: %+v", h.Cache)
 	}
 
-	id := postPlan(t, ts, `{"figures":["14"]}`)
+	stream := openStream(t, context.Background(), ts, `{"figures":["14"]}`)
 	if h := health(); h.Running != 1 {
 		t.Fatalf("healthz while running: %+v", h)
 	}
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/plans?id="+id, nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if h := health(); h.Running != 0 {
-		t.Fatalf("healthz after cancel: %+v", h)
-	}
+	stream.Body.Close()
+	waitRunning(t, ts, 0)
 }
 
 func TestHealthzReportsPredictorAxis(t *testing.T) {
@@ -418,36 +337,16 @@ func TestHealthzReportsPredictorAxis(t *testing.T) {
 	if p := predictors(); p != "" {
 		t.Fatalf("idle daemon reports predictor axis %q", p)
 	}
-	id := postPlan(t, ts, `{"figures":["14"],"predictors":["bimodal","static"]}`)
+	stream := openStream(t, context.Background(), ts, `{"figures":["14"],"predictors":["bimodal","static"]}`)
 	if p := predictors(); p != "bimodal,static" {
 		t.Fatalf("running predictor axis %q, want \"bimodal,static\"", p)
 	}
 	if st := srv.Stats(); st.Predictors != "bimodal,static" {
 		t.Fatalf("Stats().Predictors = %q", st.Predictors)
 	}
-	// The plan listing names each job's axis too.
-	resp, err := http.Get(ts.URL + "/v1/plans")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var listing struct {
-		Plans []map[string]any `json:"plans"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&listing)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(listing.Plans) != 1 || listing.Plans[0]["predictors"] != "bimodal,static" {
-		t.Fatalf("plan listing predictors: %+v", listing.Plans)
-	}
 
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/plans?id="+id, nil)
-	dresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresp.Body.Close()
+	stream.Body.Close()
+	waitRunning(t, ts, 0)
 	if p := predictors(); p != "" {
 		t.Fatalf("cancelled daemon still reports predictor axis %q", p)
 	}
@@ -458,26 +357,53 @@ func TestCancelJobsDrainsRunningPlans(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	ids := []string{
-		postPlan(t, ts, `{"figures":["14"]}`),
-		postPlan(t, ts, `{"figures":["15"]}`),
+	streams := []*http.Response{
+		postStream(t, context.Background(), ts.URL, `{"figures":["14"]}`),
+		postStream(t, context.Background(), ts.URL, `{"figures":["15"]}`),
 	}
-	done := make(chan struct{})
-	go func() {
-		srv.CancelJobs()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(20 * time.Second):
-		t.Fatal("CancelJobs did not drain within 20s")
-	}
-	// Jobs stay registered with a terminal status so late watchers see an
-	// answer, not a 404.
-	for _, id := range ids {
-		if res := getResults(t, ts, id); res.Status != "cancelled" && res.Status != "done" {
-			t.Fatalf("job %s status %q after CancelJobs", id, res.Status)
+	for _, s := range streams {
+		defer s.Body.Close()
+		if s.StatusCode != http.StatusOK {
+			t.Fatalf("submit: status %d", s.StatusCode)
 		}
+	}
+	srv.CancelJobs()
+
+	// Every open stream ends with its terminal status line, not a dropped
+	// connection.
+	for i, s := range streams {
+		done := make(chan []byte, 1)
+		go func() {
+			body, _ := io.ReadAll(s.Body)
+			done <- body
+		}()
+		var body []byte
+		select {
+		case body = <-done:
+		case <-time.After(20 * time.Second):
+			t.Fatalf("stream %d still open 20s after CancelJobs", i)
+		}
+		lines := strings.Split(strings.TrimSpace(string(body)), "\n")
+		last := lines[len(lines)-1]
+		var end struct {
+			Status string `json:"status"`
+		}
+		if err := json.Unmarshal([]byte(last), &end); err != nil ||
+			(end.Status != "cancelled" && end.Status != "done") {
+			t.Fatalf("stream %d ends with %q, want a cancelled or done status line", i, last)
+		}
+	}
+
+	// A plan that arrives after CancelJobs is refused at admission.
+	resp, err := http.Post(ts.URL+"/v1/plans", "application/json",
+		strings.NewReader(`{"cells":[{"mix":"llll","technique":"SMT","threads":2}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("submit after CancelJobs: status %d, Retry-After %q; want 503 with a hint",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 }
 
@@ -488,16 +414,18 @@ func TestSubmitAllFigures(t *testing.T) {
 	ts := testServer()
 	defer ts.Close()
 
-	id := postPlan(t, ts, `{"figures":["all"]}`)
-	if res := getResults(t, ts, id); res.Cells != 144 {
-		t.Fatalf(`{"figures":["all"]} planned %d cells, want 144`, res.Cells)
+	resp := postStream(t, context.Background(), ts.URL, `{"figures":["all"]}`)
+	var a ack
+	err := json.NewDecoder(resp.Body).Decode(&a)
+	resp.Body.Close() // hang up: the grid need not run out
+	if err != nil {
+		t.Fatalf("ack: %v", err)
 	}
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/plans?id="+id, nil)
-	if resp, err := http.DefaultClient.Do(req); err == nil {
-		resp.Body.Close()
+	if a.Cells != 144 {
+		t.Fatalf(`{"figures":["all"]} planned %d cells, want 144`, a.Cells)
 	}
 
-	resp, err := http.Post(ts.URL+"/v1/plans", "application/json", strings.NewReader(`{"figures":["all","bogus"]}`))
+	resp, err = http.Post(ts.URL+"/v1/plans", "application/json", strings.NewReader(`{"figures":["all","bogus"]}`))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"vexsmt/internal/isa"
 	"vexsmt/internal/synth"
@@ -69,21 +68,9 @@ func TestServerWorkloadCorpus(t *testing.T) {
 
 	// A trace-backed plan runs to completion, every cell carrying the full
 	// workload reference.
-	id := postPlan(t, ts, `{"workloads":["idct"]}`)
-	deadline := time.Now().Add(30 * time.Second)
-	var res resultsResponse
-	for {
-		res = getResults(t, ts, id)
-		if res.Status == "done" || res.Status == "failed" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("plan %s stuck at %s (%d/%d)", id, res.Status, res.Completed, res.Cells)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	res := runPlan(t, ts, `{"workloads":["idct"]}`)
 	if res.Status != "done" || res.Error != "" {
-		t.Fatalf("plan %s: status %s error %q", id, res.Status, res.Error)
+		t.Fatalf("plan: status %s error %q", res.Status, res.Error)
 	}
 	if len(res.Results.Cells) != 16 { // 8 techniques x {2,4} threads
 		t.Fatalf("%d cells, want 16", len(res.Results.Cells))

@@ -17,8 +17,8 @@ import (
 )
 
 // HTTP is the remote backend: it runs each job on a vexsmtd daemon in one
-// request of its /v1 control plane — POST /v1/plans?stream=1, which answers
-// with the plan's ack and then its NDJSON results stream. The daemon ties
+// request of its /v1 control plane — POST /v1/plans, which answers with
+// the plan's ack and then its NDJSON results stream. The daemon ties
 // the plan's life to that request, so context cancellation closes the
 // stream and reaches the remote simulation within one timeslice-bounded
 // poll.
@@ -142,7 +142,7 @@ func (h *HTTP) Run(ctx context.Context, job Job) (*vexsmt.ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+"/v1/plans?stream=1", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+"/v1/plans", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}

@@ -10,12 +10,13 @@ import (
 	"vexsmt/pkg/vexsmt"
 )
 
-// ndLine decodes one NDJSON line of a vexsmtd /v1/results stream, which
-// is either a cell (mix/technique/... fields) or the terminal status
-// object. The outer Status/ErrMsg fields shadow the embedded CellResult's
-// "error" tag (shallower depth wins in encoding/json), so one decode
-// handles both shapes; DecodeResultStream copies ErrMsg back into the
-// cell for cell lines.
+// ndLine decodes one NDJSON line of a vexsmtd plan stream (the reply to
+// POST /v1/plans after its ack line), which is either a cell
+// (mix/technique/... fields) or the terminal status object. The outer
+// Status/ErrMsg fields shadow the embedded CellResult's "error" tag
+// (shallower depth wins in encoding/json), so one decode handles both
+// shapes; DecodeResultStream copies ErrMsg back into the cell for cell
+// lines.
 type ndLine struct {
 	vexsmt.CellResult
 	Status string `json:"status"`
@@ -32,7 +33,7 @@ type ndLine struct {
 // error; the caller decides whether that means a dead peer.
 //
 // This is the single NDJSON decoder of the distributed layer — the HTTP
-// cell backend and any other /v1/results consumer share it, so the
+// cell backend and any other plan-stream consumer share it, so the
 // protocol is parsed in exactly one place.
 func DecodeResultStream(r io.Reader, onCell func(vexsmt.CellResult)) (status, errMsg string, err error) {
 	return decodeResults(newLineScanner(r), onCell)
@@ -48,7 +49,7 @@ func newLineScanner(r io.Reader) *bufio.Scanner {
 }
 
 // decodeResults is DecodeResultStream over a scanner that may already have
-// consumed leading lines (the stream-form submit's ack).
+// consumed leading lines (the plan's ack).
 func decodeResults(sc *bufio.Scanner, onCell func(vexsmt.CellResult)) (status, errMsg string, err error) {
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
