@@ -387,6 +387,37 @@ func BenchmarkGeneratorNext(b *testing.B) {
 	}
 }
 
+// BenchmarkNewWorkload times simulator setup for one four-thread cell:
+// "interned" reuses the code layouts the process already holds, as every
+// technique and predictor of a (mix, threads) pair does; "build" lays out
+// every benchmark's code afresh (a seed no earlier iteration used).
+func BenchmarkNewWorkload(b *testing.B) {
+	profs := make([]synth.Profile, 0, 4)
+	for _, name := range mixNames(b, "mmhh") {
+		p, _ := synth.ByName(name)
+		profs = append(profs, p)
+	}
+	cfg := sim.DefaultConfig(core.CCSI(core.CommAlwaysSplit), 4).WithScale(benchScale)
+	newWorkload := func(b *testing.B, cfg sim.Config) {
+		if _, err := sim.NewWorkload(cfg, profs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	newWorkload(b, cfg) // intern before "build" can fill the arena
+	b.Run("interned", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			newWorkload(b, cfg)
+		}
+	})
+	fresh := cfg // outlives b.Run's calibration rounds, so no seed repeats
+	b.Run("build", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			fresh.Seed++
+			newWorkload(b, fresh)
+		}
+	})
+}
+
 func BenchmarkCacheAccess(b *testing.B) {
 	c := cache.MustNew(cache.Paper64KB4Way)
 	r := rng.New(1)

@@ -2,6 +2,10 @@ package synth
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"sync"
+	"unsafe"
 
 	"vexsmt/internal/isa"
 	"vexsmt/internal/rng"
@@ -79,32 +83,108 @@ const dataBase = 0x2000_0000
 // template is one precomputed body instruction of a loop region. Templates
 // are deterministic per (profile, region, position), so every iteration of
 // a loop re-fetches the same addresses — the property the ICache model
-// depends on.
+// depends on. A template is packed into 8 bytes: the demand and its size
+// live once per distinct demand in the layout's shape table, and the
+// branch kind and inner-branch skip share one byte.
 type template struct {
-	demand isa.InstrDemand
-	pc     uint64
-	size   uint32
-	brKind uint8 // 0 none, 1 inner conditional, 2 back-edge
-	skip   uint8 // inner-branch forward skip (instructions)
+	pc    uint32
+	shape uint16 // index into layout.shapes
+	br    uint8  // branch kind (brNone, brInner, brBackEdge) | skip<<brSkipShift
 }
 
 const (
 	brNone     = 0
 	brInner    = 1
 	brBackEdge = 2
+
+	brKindMask  = 3
+	brSkipShift = 2 // inner-branch forward skip (instructions) above the kind bits
 )
 
-// region is one loop nest of the synthetic program.
-type region struct {
-	body      []template
-	meanIters int
+// shape is one distinct instruction demand of a layout plus its encoded
+// size in bytes, a pure function of the demand.
+type shape struct {
+	demand isa.InstrDemand
+	size   uint32
 }
 
-// Generator implements Stream for a benchmark profile.
+// layout is a benchmark's code image: the template bodies of its loop
+// regions and the demand table their templates index. A layout is a pure
+// function of (profile, geometry) and read-only once built, so every
+// generator for the same key shares one.
+type layout struct {
+	regions [][]template // one body per loop nest, in code order
+	shapes  []shape
+}
+
+// bytes is the layout's heap footprint as the arena accounts it.
+func (l *layout) bytes() int64 {
+	var n int64
+	for _, body := range l.regions {
+		n += int64(len(body)) * int64(unsafe.Sizeof(template{}))
+	}
+	return n + int64(len(l.regions))*int64(unsafe.Sizeof([]template{})) +
+		int64(len(l.shapes))*int64(unsafe.Sizeof(shape{}))
+}
+
+// layoutKey identifies a layout. The profile carries the seed, so every
+// technique and predictor of one (mix, threads) cell pair maps to the
+// same key.
+type layoutKey struct {
+	prof Profile
+	geom isa.Geometry
+}
+
+// arenaCapBytes bounds the process-wide layout arena (about three full
+// Figure 14–16 grids at 8-byte templates). A daemon accepts any plan seed,
+// so the arena must not grow without bound; once full, layouts are built
+// without being stored. Results do not depend on whether a lookup hits.
+const arenaCapBytes = 8 << 20
+
+// arena interns built layouts for the life of the process.
+var arena struct {
+	mu      sync.Mutex
+	layouts map[layoutKey]*layout
+	bytes   int64
+}
+
+// internedLayout returns the shared layout for k, building (and, while
+// the arena has room, storing) it on a miss. Concurrent misses on one key
+// may both build; the first stored layout wins and both callers get it.
+func internedLayout(k layoutKey) (*layout, error) {
+	arena.mu.Lock()
+	l := arena.layouts[k]
+	arena.mu.Unlock()
+	if l != nil {
+		return l, nil
+	}
+	l, err := k.build()
+	if err != nil {
+		return nil, err
+	}
+	arena.mu.Lock()
+	defer arena.mu.Unlock()
+	if prev := arena.layouts[k]; prev != nil {
+		return prev, nil
+	}
+	if n := l.bytes(); arena.bytes+n <= arenaCapBytes {
+		if arena.layouts == nil {
+			arena.layouts = make(map[layoutKey]*layout)
+		}
+		arena.layouts[k] = l
+		arena.bytes += n
+	}
+	return l, nil
+}
+
+// Generator implements Stream for a benchmark profile. Its layout's
+// backing arrays are shared and read-only (the slice headers are copied
+// in so the fetch path does not chase a pointer); only the cursor fields
+// below it are per stream.
 type Generator struct {
-	prof    Profile
-	geom    isa.Geometry
-	regions []region
+	prof Profile
+	geom isa.Geometry
+	layout
 
 	dyn       *rng.Rand // dynamic decisions: taken, iteration counts, data addresses
 	ri        int       // current region
@@ -113,8 +193,10 @@ type Generator struct {
 	streamPos uint64
 }
 
-// NewGenerator builds the (deterministic) code layout for a profile on the
-// given geometry and primes the dynamic state.
+// NewGenerator returns a generator over the (deterministic) code layout
+// for a profile on the given geometry, with the dynamic state primed. The
+// layout is built once per process and shared by every generator for the
+// same (profile, geometry).
 func NewGenerator(prof Profile, geom isa.Geometry) (*Generator, error) {
 	if err := geom.Validate(); err != nil {
 		return nil, err
@@ -126,8 +208,15 @@ func NewGenerator(prof Profile, geom isa.Geometry) (*Generator, error) {
 	if prof.LoopInstrs <= 0 || prof.LoopIters <= 0 {
 		return nil, fmt.Errorf("synth: %s: loop shape must be positive", prof.Name)
 	}
-	g := &Generator{prof: prof, geom: geom}
-	g.buildRegions()
+	if prof.CodeKB < 0 || codeEnd(prof, geom) > math.MaxUint32 {
+		return nil, fmt.Errorf("synth: %s: code footprint %d KB does not fit 32-bit code addresses",
+			prof.Name, prof.CodeKB)
+	}
+	l, err := internedLayout(layoutKey{prof, geom})
+	if err != nil {
+		return nil, err
+	}
+	g := &Generator{prof: prof, geom: geom, layout: *l}
 	g.Reset(0)
 	return g, nil
 }
@@ -150,8 +239,8 @@ func (g *Generator) Name() string { return g.prof.Name }
 // bias short scaled-down measurements.
 func (g *Generator) CodeCycleInstrs() int64 {
 	var total int64
-	for _, reg := range g.regions {
-		total += int64(len(reg.body)) * int64(reg.meanIters)
+	for _, body := range g.regions {
+		total += int64(len(body)) * int64(g.prof.LoopIters)
 	}
 	return total
 }
@@ -179,52 +268,92 @@ func (g *Generator) Reset(variant uint64) {
 	}
 	g.ri = 0
 	g.pos = 0
-	g.itersLeft = g.jitterIters(g.regions[0].meanIters)
+	g.itersLeft = g.jitterIters(g.prof.LoopIters)
 	g.streamPos = 0
 }
 
-// buildRegions lays out loop regions until the code footprint reaches
-// CodeKB. Layout is derived purely from the profile seed.
-func (g *Generator) buildRegions() {
-	layout := rng.New(g.prof.Seed ^ 0xc0de_5eed)
-	pc := uint64(codeBase) + (g.prof.Seed%64)*4096
-	targetBytes := uint64(g.prof.CodeKB) * 1024
-	var total uint64
-	for total < targetBytes || len(g.regions) == 0 {
-		bodyLen := g.prof.LoopInstrs/2 + layout.Intn(g.prof.LoopInstrs+1)
+// codeBaseOf is where a profile's code image starts: codeBase plus a
+// seed-derived page offset.
+func codeBaseOf(prof Profile) uint64 { return codeBase + (prof.Seed%64)*4096 }
+
+// codeEnd bounds the end address of the layout layoutKey.build produces,
+// without building it: regions are laid out until CodeKB is reached, so
+// the last region overshoots by at most one maximal region body.
+func codeEnd(prof Profile, geom isa.Geometry) uint64 {
+	maxBody := uint64(prof.LoopInstrs)/2 + uint64(prof.LoopInstrs) + 2
+	maxSize := 4 * uint64(geom.TotalIssueWidth())
+	return codeBaseOf(prof) + uint64(prof.CodeKB)*1024 + maxBody*maxSize
+}
+
+// build lays out loop regions until the code footprint reaches CodeKB.
+// Layout is derived purely from the profile seed and geometry.
+func (k layoutKey) build() (*layout, error) {
+	prof, geom := k.prof, k.geom
+	r := rng.New(prof.Seed ^ 0xc0de_5eed)
+	pc := codeBaseOf(prof)
+	targetBytes := uint64(prof.CodeKB) * 1024
+	var (
+		total  uint64
+		body   []template
+		starts []int
+		shapes []shape
+		index  = make(map[isa.InstrDemand]uint16)
+	)
+	for total < targetBytes || len(starts) == 0 {
+		bodyLen := prof.LoopInstrs/2 + r.Intn(prof.LoopInstrs+1)
 		if bodyLen < 2 {
 			bodyLen = 2
 		}
 		vecLen := 0
-		if g.prof.BurstProb > 0 {
+		if prof.BurstProb > 0 {
 			// SLAP-style variable vector length: each region is one
 			// strip-mined vector loop with its own VL, a multiple of the
 			// per-cluster issue width up to the full machine width. The
 			// draw is guarded so BurstProb==0 profiles consume an
 			// unchanged layout-RNG stream.
-			w := g.geom.IssueWidth
-			vecLen = w * (1 + layout.Intn(g.geom.Clusters))
+			vecLen = geom.IssueWidth * (1 + r.Intn(geom.Clusters))
 		}
-		reg := region{meanIters: g.prof.LoopIters}
+		starts = append(starts, len(body))
 		for i := 0; i < bodyLen; i++ {
 			last := i == bodyLen-1
-			t := g.buildTemplate(layout, pc, last, bodyLen-1-i, vecLen)
-			reg.body = append(reg.body, t)
-			pc += uint64(t.size)
-			total += uint64(t.size)
+			d, size, br := k.buildTemplate(r, last, bodyLen-1-i, vecLen)
+			idx, ok := index[d]
+			if !ok {
+				if len(shapes) == math.MaxUint16 {
+					return nil, fmt.Errorf("synth: %s: layout has more than %d distinct instruction demands",
+						prof.Name, math.MaxUint16)
+				}
+				idx = uint16(len(shapes))
+				index[d] = idx
+				shapes = append(shapes, shape{demand: d, size: size})
+			}
+			body = append(body, template{pc: uint32(pc), shape: idx, br: br})
+			pc += uint64(size)
+			total += uint64(size)
 		}
-		g.regions = append(g.regions, reg)
 	}
+	// Exact-size copies: the arena keeps these for the life of the process.
+	body = slices.Clone(body)
+	l := &layout{regions: make([][]template, len(starts)), shapes: slices.Clone(shapes)}
+	for i, start := range starts {
+		end := len(body)
+		if i+1 < len(starts) {
+			end = starts[i+1]
+		}
+		l.regions[i] = body[start:end:end]
+	}
+	return l, nil
 }
 
-// buildTemplate synthesizes one compiler-legal instruction template. A
-// non-zero vecLen marks the enclosing region as a vector loop: templates
-// then become wide-op bursts with probability BurstProb, occupying vecLen
-// issue slots spread evenly across clusters (SIMD lane groups).
-func (g *Generator) buildTemplate(r *rng.Rand, pc uint64, backEdge bool, room int, vecLen int) template {
-	w := g.geom.IssueWidth
-	maxOps := g.geom.TotalIssueWidth()
-	burst := vecLen > 0 && r.Bool(g.prof.BurstProb)
+// buildTemplate synthesizes one compiler-legal instruction template and
+// returns its demand, size in bytes and packed branch byte. A non-zero
+// vecLen marks the enclosing region as a vector loop: templates then
+// become wide-op bursts with probability BurstProb, occupying vecLen issue
+// slots spread evenly across clusters (SIMD lane groups).
+func (key layoutKey) buildTemplate(r *rng.Rand, backEdge bool, room int, vecLen int) (d isa.InstrDemand, size uint32, br uint8) {
+	w := key.geom.IssueWidth
+	maxOps := key.geom.TotalIssueWidth()
+	burst := vecLen > 0 && r.Bool(key.prof.BurstProb)
 	var ops int
 	if burst {
 		ops = vecLen
@@ -232,7 +361,7 @@ func (g *Generator) buildTemplate(r *rng.Rand, pc uint64, backEdge bool, room in
 		// ops ~ 1 + Binomial(maxOps-1, p) with mean MeanOps, compensated for
 		// the ~2*CommProb ops the send/recv pairs add on average so the
 		// measured ops/instruction lands on MeanOps.
-		target := g.prof.MeanOps - 2*g.prof.CommProb
+		target := key.prof.MeanOps - 2*key.prof.CommProb
 		if target < 1 {
 			target = 1
 		}
@@ -258,45 +387,44 @@ func (g *Generator) buildTemplate(r *rng.Rand, pc uint64, backEdge bool, room in
 	// vectorizing compiler emits.
 	k := (ops + w - 1) / w
 	if burst {
-		if k > g.geom.Clusters {
-			k = g.geom.Clusters
+		if k > key.geom.Clusters {
+			k = key.geom.Clusters
 		}
 	} else if !r.Bool(0.5) { // spread mode
-		spread := g.prof.SpreadProb
+		spread := key.prof.SpreadProb
 		if spread == 0 {
 			spread = 0.85
 		}
-		for k < g.geom.Clusters && k < ops && r.Bool(spread) {
+		for k < key.geom.Clusters && k < ops && r.Bool(spread) {
 			k++
 		}
 	}
 	start := 0
 	if r.Bool(0.5) {
-		start = r.Intn(g.geom.Clusters)
+		start = r.Intn(key.geom.Clusters)
 	}
 	var perCluster [isa.MaxClusters]int
 	for i := 0; i < ops; i++ {
-		perCluster[(start+i%k)%g.geom.Clusters]++
+		perCluster[(start+i%k)%key.geom.Clusters]++
 	}
 
-	var d isa.InstrDemand
-	memBudget := int(float64(ops)*g.prof.MemFrac + 0.5)
-	mulBudget := int(float64(ops)*g.prof.MulFrac + 0.5)
+	memBudget := int(float64(ops)*key.prof.MemFrac + 0.5)
+	mulBudget := int(float64(ops)*key.prof.MulFrac + 0.5)
 	for j := 0; j < k; j++ {
-		c := (start + j) % g.geom.Clusters
+		c := (start + j) % key.geom.Clusters
 		n := perCluster[c]
 		b := isa.BundleDemand{Ops: uint8(n)}
-		if memBudget > 0 && g.geom.MemUnits > 0 && n > 0 {
+		if memBudget > 0 && key.geom.MemUnits > 0 && n > 0 {
 			b.Mem = 1
 			memBudget--
 			n--
-			if r.Bool(g.prof.StoreFrac) {
+			if r.Bool(key.prof.StoreFrac) {
 				b.Stor = true
 			} else {
 				b.Load = true
 			}
 		}
-		for n > 0 && mulBudget > 0 && int(b.Mul) < g.geom.Muls {
+		for n > 0 && mulBudget > 0 && int(b.Mul) < key.geom.Muls {
 			b.Mul++
 			mulBudget--
 			n--
@@ -306,11 +434,11 @@ func (g *Generator) buildTemplate(r *rng.Rand, pc uint64, backEdge bool, room in
 	}
 
 	// Inter-cluster copy pair: one extra ALU-class op on two clusters.
-	if g.geom.Clusters > 1 && r.Bool(g.prof.CommProb) {
-		src := r.Intn(g.geom.Clusters)
-		dst := (src + 1 + r.Intn(g.geom.Clusters-1)) % g.geom.Clusters
+	if key.geom.Clusters > 1 && r.Bool(key.prof.CommProb) {
+		src := r.Intn(key.geom.Clusters)
+		dst := (src + 1 + r.Intn(key.geom.Clusters-1)) % key.geom.Clusters
 		for _, c := range []int{src, dst} {
-			if int(d.B[c].Ops) < w && int(d.B[c].ALU) < g.geom.ALUs {
+			if int(d.B[c].Ops) < w && int(d.B[c].ALU) < key.geom.ALUs {
 				d.B[c].Ops++
 				d.B[c].ALU++
 			}
@@ -325,22 +453,21 @@ func (g *Generator) buildTemplate(r *rng.Rand, pc uint64, backEdge bool, room in
 	// Control flow: the branch operation is one of the instruction's
 	// ALU-class operations (it needs no separate demand accounting; the
 	// Taken flag carries the timing semantics).
-	t := template{demand: d, pc: pc, size: uint32(4 * d.NumOps()), brKind: brNone}
+	size = uint32(4 * d.NumOps())
 	switch {
 	case backEdge:
-		t.brKind = brBackEdge
-	case room > 0 && r.Bool(g.prof.BranchProb):
-		t.brKind = brInner
+		br = brBackEdge
+	case room > 0 && r.Bool(key.prof.BranchProb):
 		skip := 1 + r.Intn(3)
 		if skip > room {
 			skip = room
 		}
-		t.skip = uint8(skip)
+		br = brInner | uint8(skip)<<brSkipShift
 	}
-	if t.size == 0 {
-		t.size = 4
+	if size == 0 {
+		size = 4
 	}
-	return t
+	return d, size, br
 }
 
 func (g *Generator) jitterIters(mean int) int {
@@ -357,7 +484,7 @@ func (g *Generator) jitterIters(mean int) int {
 
 // Next implements Stream.
 func (g *Generator) Next(t *TInst) {
-	g.step(&g.regions[g.ri], t)
+	g.step(g.regions[g.ri], t)
 }
 
 // NextN implements BatchStream: it emits the next len(out) instructions in
@@ -366,29 +493,30 @@ func (g *Generator) Next(t *TInst) {
 // Next calls would have produced.
 func (g *Generator) NextN(out []TInst) {
 	ri := -1
-	var reg *region
+	var body []template
 	for i := range out {
 		if g.ri != ri {
 			ri = g.ri
-			reg = &g.regions[ri]
+			body = g.regions[ri]
 		}
-		g.step(reg, &out[i])
+		g.step(body, &out[i])
 	}
 }
 
-// step emits one instruction from the current position of reg (which must
-// be &g.regions[g.ri]) and advances the trace's control flow.
-func (g *Generator) step(reg *region, t *TInst) {
-	tm := &reg.body[g.pos]
-	t.Demand = tm.demand
-	t.PC = tm.pc
-	t.Size = tm.size
+// step emits one instruction from the current position of body (which
+// must be g.regions[g.ri]) and advances the trace's control flow.
+func (g *Generator) step(body []template, t *TInst) {
+	tm := body[g.pos]
+	sh := &g.shapes[tm.shape]
+	t.Demand = sh.demand
+	t.PC = uint64(tm.pc)
+	t.Size = sh.size
 	t.Taken = false
-	t.IsBranch = tm.brKind != brNone
+	t.IsBranch = tm.br != brNone
 
 	// Data addresses for the cache model.
 	for c := 0; c < g.geom.Clusters; c++ {
-		if tm.demand.B[c].Mem == 0 {
+		if sh.demand.B[c].Mem == 0 {
 			t.MemAddr[c] = 0
 			continue
 		}
@@ -410,7 +538,7 @@ func (g *Generator) step(reg *region, t *TInst) {
 	}
 
 	// Advance control flow.
-	switch tm.brKind {
+	switch tm.br & brKindMask {
 	case brBackEdge:
 		if g.itersLeft > 0 {
 			g.itersLeft--
@@ -425,13 +553,13 @@ func (g *Generator) step(reg *region, t *TInst) {
 		}
 		g.ri = (g.ri + 1) % len(g.regions)
 		g.pos = 0
-		g.itersLeft = g.jitterIters(g.regions[g.ri].meanIters)
+		g.itersLeft = g.jitterIters(g.prof.LoopIters)
 	case brInner:
 		if g.dyn.Bool(g.prof.TakenProb) {
 			t.Taken = true
-			g.pos += int(tm.skip) + 1
-			if g.pos >= len(reg.body) {
-				g.pos = len(reg.body) - 1
+			g.pos += int(tm.br>>brSkipShift) + 1
+			if g.pos >= len(body) {
+				g.pos = len(body) - 1
 			}
 			return
 		}
@@ -439,7 +567,7 @@ func (g *Generator) step(reg *region, t *TInst) {
 	default:
 		g.pos++
 	}
-	if g.pos >= len(reg.body) {
+	if g.pos >= len(body) {
 		g.pos = 0 // defensive; back-edge handling should prevent this
 	}
 }
@@ -460,6 +588,9 @@ type MeasuredShape struct {
 func Measure(s Stream, n int64) MeasuredShape {
 	var t TInst
 	var sh MeasuredShape
+	if n <= 0 {
+		return sh
+	}
 	var taken, comm, mem int64
 	for i := int64(0); i < n; i++ {
 		s.Next(&t)
