@@ -16,6 +16,8 @@ package vexsmt_test
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -27,6 +29,7 @@ import (
 	"vexsmt/internal/synth"
 	"vexsmt/internal/trace"
 	"vexsmt/internal/workload"
+	"vexsmt/internal/wstore"
 	"vexsmt/pkg/vexsmt"
 	rescache "vexsmt/pkg/vexsmt/cache"
 )
@@ -570,4 +573,44 @@ func BenchmarkTraceReplayThroughput(b *testing.B) {
 // the bit-identical one-iteration-per-cycle loop (reported, not gated).
 func BenchmarkTraceReplayThroughputReference(b *testing.B) {
 	benchmarkTraceThroughput(b, true)
+}
+
+// BenchmarkLoadWorkloads times the workload-store hop of a cold sweep's
+// set-up on the checked-in corpus. decode is trace.Decode of each .vxt
+// file's bytes, reported per instruction; loaddir is a fresh store's
+// LoadDir of the whole directory: map, hash, decode (or assemble and
+// record a .vex program) and publish.
+func BenchmarkLoadWorkloads(b *testing.B) {
+	const dir = "examples/corpus"
+	b.Run("decode", func(b *testing.B) {
+		paths, err := filepath.Glob(filepath.Join(dir, "*.vxt"))
+		if err != nil || len(paths) == 0 {
+			b.Fatalf("no traces in %s: %v", dir, err)
+		}
+		files := make([][]byte, len(paths))
+		for i, p := range paths {
+			if files[i], err = os.ReadFile(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ResetTimer()
+		instrs := 0
+		for i := 0; i < b.N; i++ {
+			for _, data := range files {
+				_, _, in, err := trace.Decode(data)
+				if err != nil {
+					b.Fatal(err)
+				}
+				instrs += len(in)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
+	})
+	b.Run("loaddir", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := wstore.New().LoadDir(dir); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -115,91 +115,100 @@ func Write(w io.Writer, name string, clusters int, instrs []synth.TInst) error {
 	return bw.Flush()
 }
 
-// Read deserializes a trace.
+// minRecord is the size of the smallest instruction record: pc, size,
+// flags and used with no cluster bundles.
+const minRecord = 8 + 4 + 1 + 1
+
+// Read deserializes a trace from a stream: it reads r to the end and
+// decodes the bytes with Decode.
 func Read(r io.Reader) (name string, clusters int, instrs []synth.TInst, err error) {
-	br := bufio.NewReader(r)
-	var m [4]byte
-	if _, err = io.ReadFull(br, m[:]); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return "", 0, nil, fmt.Errorf("trace: %w", err)
 	}
-	if m != magic {
-		return "", 0, nil, fmt.Errorf("trace: bad magic %q", m)
+	return Decode(data)
+}
+
+// Decode deserializes a trace held in memory. The returned name and
+// instructions are copies: nothing aliases data, so a caller may release
+// or reuse the buffer (an unmapped file, say) as soon as Decode returns.
+// Bytes after the last record are ignored.
+//
+// The record count in the header is untrusted. The arena is allocated
+// once, at min(count, remaining bytes / minRecord) records, so a corrupt
+// header claiming 4G instructions fails on the first short record
+// instead of sizing a slice to the claim.
+func Decode(data []byte) (name string, clusters int, instrs []synth.TInst, err error) {
+	if len(data) < len(magic) {
+		return "", 0, nil, fmt.Errorf("trace: %w", io.ErrUnexpectedEOF)
 	}
-	cb, err := br.ReadByte()
-	if err != nil {
-		return "", 0, nil, err
+	if [4]byte(data) != magic {
+		return "", 0, nil, fmt.Errorf("trace: bad magic %q", data[:4])
 	}
-	clusters = int(cb)
+	p := data[4:]
+	if len(p) < 2 {
+		return "", 0, nil, fmt.Errorf("trace: header: %w", io.ErrUnexpectedEOF)
+	}
+	clusters = int(p[0])
 	if clusters <= 0 || clusters > isa.MaxClusters {
 		return "", 0, nil, fmt.Errorf("trace: bad cluster count %d", clusters)
 	}
-	nl, err := br.ReadByte()
-	if err != nil {
-		return "", 0, nil, err
+	nl := int(p[1])
+	p = p[2:]
+	if len(p) < nl+4 {
+		return "", 0, nil, fmt.Errorf("trace: header: %w", io.ErrUnexpectedEOF)
 	}
-	nameBytes := make([]byte, nl)
-	if _, err = io.ReadFull(br, nameBytes); err != nil {
-		return "", 0, nil, err
+	name = string(p[:nl])
+	count := binary.LittleEndian.Uint32(p[nl:])
+	p = p[nl+4:]
+
+	n := len(p) / minRecord
+	if uint64(count) < uint64(n) {
+		n = int(count)
 	}
-	name = string(nameBytes)
-	var buf [8]byte
-	if _, err = io.ReadFull(br, buf[:4]); err != nil {
-		return "", 0, nil, err
-	}
-	count := binary.LittleEndian.Uint32(buf[:4])
-	// count is untrusted input: cap the up-front allocation and grow by
-	// appending, so a corrupt header claiming 4G instructions fails on
-	// the first short read instead of sizing a slice to the claim.
-	capHint := int(count)
-	if capHint > 4096 {
-		capHint = 4096
-	}
-	instrs = make([]synth.TInst, 0, capHint)
-	for i := 0; i < int(count); i++ {
-		instrs = append(instrs, synth.TInst{})
+	instrs = make([]synth.TInst, n)
+	short := func(i int) error { return fmt.Errorf("trace: instr %d: %w", i, io.ErrUnexpectedEOF) }
+	for i := range instrs {
+		if len(p) < minRecord {
+			return "", 0, nil, short(i)
+		}
 		ti := &instrs[i]
-		if _, err = io.ReadFull(br, buf[:8]); err != nil {
-			return "", 0, nil, fmt.Errorf("trace: instr %d: %w", i, err)
-		}
-		ti.PC = binary.LittleEndian.Uint64(buf[:8])
-		if _, err = io.ReadFull(br, buf[:4]); err != nil {
-			return "", 0, nil, err
-		}
-		ti.Size = binary.LittleEndian.Uint32(buf[:4])
-		flags, err2 := br.ReadByte()
-		if err2 != nil {
-			return "", 0, nil, err2
-		}
+		ti.PC = binary.LittleEndian.Uint64(p)
+		ti.Size = binary.LittleEndian.Uint32(p[8:])
+		flags, used := p[12], p[13]
+		p = p[minRecord:]
 		ti.Taken = flags&1 != 0
 		ti.Demand.HasComm = flags&2 != 0
 		// Traces written before the IsBranch flag existed still mark taken
 		// branches, so OR with Taken instead of trusting bit 2 alone.
 		ti.IsBranch = flags&4 != 0 || ti.Taken
-		used, err2 := br.ReadByte()
-		if err2 != nil {
-			return "", 0, nil, err2
-		}
 		for c := 0; c < clusters; c++ {
 			if used&(1<<uint(c)) == 0 {
 				continue
 			}
-			var pk [3]byte
-			if _, err = io.ReadFull(br, pk[:]); err != nil {
-				return "", 0, nil, err
+			if len(p) < 3 {
+				return "", 0, nil, short(i)
 			}
 			b := &ti.Demand.B[c]
-			b.Ops, b.ALU = pk[0]>>4, pk[0]&15
-			b.Mul, b.Mem = pk[1]>>4, pk[1]&15
-			b.Load = pk[2]&1 != 0
-			b.Stor = pk[2]&2 != 0
-			b.Comm = pk[2]&4 != 0
+			b.Ops, b.ALU = p[0]>>4, p[0]&15
+			b.Mul, b.Mem = p[1]>>4, p[1]&15
+			b.Load = p[2]&1 != 0
+			b.Stor = p[2]&2 != 0
+			b.Comm = p[2]&4 != 0
+			p = p[3:]
 			if b.Mem != 0 {
-				if _, err = io.ReadFull(br, buf[:8]); err != nil {
-					return "", 0, nil, err
+				if len(p) < 8 {
+					return "", 0, nil, short(i)
 				}
-				ti.MemAddr[c] = binary.LittleEndian.Uint64(buf[:8])
+				ti.MemAddr[c] = binary.LittleEndian.Uint64(p)
+				p = p[8:]
 			}
 		}
+	}
+	if uint64(n) < uint64(count) {
+		// n records took at least n*minRecord bytes, so fewer than
+		// minRecord are left: record n is torn.
+		return "", 0, nil, short(n)
 	}
 	return name, clusters, instrs, nil
 }

@@ -1,12 +1,14 @@
 // Package wstore is the content-addressed, load-once workload store behind
 // the experiment grid's workload axis. Binary VXT1 traces are mmap'd (with
-// a plain-read fallback) and decoded exactly once per process into an
-// immutable flat []synth.TInst arena keyed by the sha256 of the file
-// bytes; every concurrent cell and daemon job replays the same arena
-// through zero-copy trace.Replayer cursors. VEX assembly programs enter
-// the same store: they are assembled and executed through the functional
-// machine once at load time, the executed instruction stream recorded as
-// a trace, and from then on are indistinguishable from a loaded .vxt.
+// a plain-read fallback) and decoded once per process into an immutable
+// flat []synth.TInst arena keyed by the sha256 of the file bytes (loads
+// racing on the same new content may each decode; the first arena
+// published is the one kept); every concurrent cell and daemon job
+// replays the same arena through zero-copy trace.Replayer cursors. VEX
+// assembly programs enter the same store: they are assembled and executed
+// through the functional machine once at load time, the executed
+// instruction stream recorded as a trace, and from then on are
+// indistinguishable from a loaded .vxt.
 //
 // Content addressing is what makes the workload axis safe to cache and to
 // distribute: a cell's cache key folds in the workload's content hash, so
@@ -15,17 +17,17 @@
 package wstore
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
-	"vexsmt/internal/isa"
 	"vexsmt/internal/synth"
 	"vexsmt/internal/trace"
 )
@@ -141,46 +143,25 @@ func (s *Store) Refs() []string {
 // Load reads, hashes, and decodes one workload file (.vxt trace or .vex
 // program). The file bytes are mapped read-only when the platform allows
 // it and copied otherwise; either way the mapping is released after the
-// one-time decode. Loading the same content twice returns the already
-// decoded trace without touching the decoder.
+// one-time decode. Mapping, hashing and decoding run outside the store
+// lock, which is taken only to check names and publish the trace, so a
+// load never stalls a concurrent Resolve. Loading content the store
+// already holds returns the held trace without touching the decoder; two
+// loads of the same new content racing each other may both decode, and
+// both get the trace published first.
 func (s *Store) Load(path string) (*Trace, error) {
-	data, release, err := mapFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("wstore: %w", err)
-	}
-	defer release()
-	sum := sha256.Sum256(data)
-	hash := hex.EncodeToString(sum[:])
-	name := workloadName(path)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t, ok := s.byHash[hash]; ok {
-		// Decode-once: same content, possibly under a new name.
-		if prev, clash := s.byName[name]; clash && prev.Hash != hash {
-			return nil, fmt.Errorf("wstore: workload %q already loaded with different content (%s vs %s)",
-				name, short(prev.Hash), short(hash))
-		}
-		s.byName[name] = t
-		return t, nil
-	}
-	if prev, clash := s.byName[name]; clash && prev.Hash != hash {
-		return nil, fmt.Errorf("wstore: workload %q already loaded with different content (%s vs %s)",
-			name, short(prev.Hash), short(hash))
-	}
-
-	t, err := decode(name, path, data)
+	name, t, err := s.prepare(path)
 	if err != nil {
 		return nil, err
 	}
-	t.Hash = hash
-	s.byHash[hash] = t
-	s.byName[name] = t
-	return t, nil
+	return s.publish(name, t)
 }
 
-// LoadDir loads every .vxt and .vex file in dir (sorted, deterministic)
-// and returns the loaded traces in name order.
+// LoadDir loads every .vxt and .vex file in dir and returns the loaded
+// traces in name order. Files are decoded on up to GOMAXPROCS goroutines
+// but published one by one in sorted path order, so the store ends up as
+// a sequential load would leave it and the error reported is always the
+// one for the first failing file in that order.
 func (s *Store) LoadDir(dir string) ([]*Trace, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -200,11 +181,39 @@ func (s *Store) LoadDir(dir string) ([]*Trace, error) {
 		return nil, fmt.Errorf("wstore: no .vxt or .vex workloads in %s", dir)
 	}
 	sort.Strings(paths)
+
+	type prepared struct {
+		name string
+		t    *Trace
+		err  error
+	}
+	ready := make([]prepared, len(paths))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(paths)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(paths) {
+					return
+				}
+				r := &ready[i]
+				r.name, r.t, r.err = s.prepare(paths[i])
+			}
+		}()
+	}
+	wg.Wait()
+
 	out := make([]*Trace, 0, len(paths))
-	for _, p := range paths {
-		t, err := s.Load(p)
+	for i, r := range ready {
+		t, err := r.t, r.err
+		if err == nil {
+			t, err = s.publish(r.name, t)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", filepath.Base(p), err)
+			return nil, fmt.Errorf("%s: %w", filepath.Base(paths[i]), err)
 		}
 		out = append(out, t)
 	}
@@ -212,6 +221,59 @@ func (s *Store) LoadDir(dir string) ([]*Trace, error) {
 	return out, nil
 }
 
+// prepare maps, hashes and decodes path without holding the store lock.
+// It returns the workload name and either the trace the store already
+// holds for the content or a freshly decoded one not yet published.
+func (s *Store) prepare(path string) (string, *Trace, error) {
+	data, release, err := mapFile(path)
+	if err != nil {
+		return "", nil, fmt.Errorf("wstore: %w", err)
+	}
+	defer release()
+	sum := sha256.Sum256(data)
+	hash := hex.EncodeToString(sum[:])
+	name := workloadName(path)
+
+	if t, ok := s.Get(hash); ok {
+		return name, t, nil
+	}
+	// A name already bound to other content fails before the decode, so
+	// the clash, not the file's contents, is what the caller hears about.
+	if prev, ok := s.ByName(name); ok && prev.Hash != hash {
+		return "", nil, clashError(name, prev.Hash, hash)
+	}
+	t, err := decode(name, path, data)
+	if err != nil {
+		return "", nil, err
+	}
+	t.Hash = hash
+	return name, t, nil
+}
+
+// publish registers t under name. When a trace with the same content was
+// published first, that one is registered and returned instead.
+func (s *Store) publish(name string, t *Trace) (*Trace, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if prev, clash := s.byName[name]; clash && prev.Hash != t.Hash {
+		return nil, clashError(name, prev.Hash, t.Hash)
+	}
+	if first, ok := s.byHash[t.Hash]; ok {
+		t = first
+	} else {
+		s.byHash[t.Hash] = t
+	}
+	s.byName[name] = t
+	return t, nil
+}
+
+func clashError(name, held, hash string) error {
+	return fmt.Errorf("wstore: workload %q already loaded with different content (%s vs %s)",
+		name, short(held), short(hash))
+}
+
+// decode builds the trace for one file's bytes. Nothing in the result
+// aliases data: the caller releases the mapping as soon as this returns.
 func decode(name, path string, data []byte) (*Trace, error) {
 	switch filepath.Ext(path) {
 	case ".vex":
@@ -221,15 +283,12 @@ func decode(name, path string, data []byte) (*Trace, error) {
 		}
 		return &Trace{Name: name, Clusters: clusters, instrs: instrs}, nil
 	default:
-		_, clusters, instrs, err := trace.Read(bytes.NewReader(data))
+		_, clusters, instrs, err := trace.Decode(data)
 		if err != nil {
 			return nil, fmt.Errorf("wstore: %s: %w", name, err)
 		}
 		if len(instrs) == 0 {
 			return nil, fmt.Errorf("wstore: %s: empty trace", name)
-		}
-		if clusters > isa.MaxClusters {
-			return nil, fmt.Errorf("wstore: %s: %d clusters exceeds maximum %d", name, clusters, isa.MaxClusters)
 		}
 		return &Trace{Name: name, Clusters: clusters, instrs: instrs}, nil
 	}

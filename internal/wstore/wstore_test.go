@@ -2,8 +2,11 @@ package wstore
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"vexsmt/internal/isa"
@@ -262,5 +265,114 @@ func TestSplitRef(t *testing.T) {
 	}
 	if n, h := SplitRef("bare"); n != "bare" || h != "" {
 		t.Fatalf("got %q %q", n, h)
+	}
+}
+
+// TestConcurrentLoadAndResolve loads one shared file and one file per
+// goroutine from 8 goroutines at once while each also resolves: every
+// caller for one content must get the same *Trace, whichever decode won.
+// The shared trace is long enough that several goroutines decode it at
+// once, so the first-published-wins rule is what the check exercises.
+func TestConcurrentLoadAndResolve(t *testing.T) {
+	const workers = 8
+	dir := t.TempDir()
+	shared, _ := writeVXT(t, dir, "shared.vxt", "idct", 20000)
+	raw, err := os.ReadFile(shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := make([]string, workers)
+	for w := range own {
+		// Odd workers load a copy of the shared content under their own
+		// name; even workers load content of their own.
+		if w%2 == 1 {
+			own[w] = filepath.Join(dir, fmt.Sprintf("copy%d.vxt", w))
+			if err := os.WriteFile(own[w], raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		own[w], _ = writeVXT(t, dir, fmt.Sprintf("own%d.vxt", w), "mcf", 100+w)
+	}
+
+	for round := 0; round < 3; round++ {
+		s := New()
+		got := make([][2]*Trace, workers)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				// Half the workers take the shared content through its copy
+				// first, so both names race for the same hash.
+				paths := []string{shared, own[w]}
+				if w%4 == 1 {
+					paths[0], paths[1] = paths[1], paths[0]
+				}
+				for _, p := range paths {
+					tr, err := s.Load(p)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if p == shared {
+						got[w][0] = tr
+					} else {
+						got[w][1] = tr
+					}
+					if r, ok := s.Resolve(tr.Ref()); !ok || r != tr {
+						t.Errorf("worker %d: %s resolves to %p, loaded %p", w, tr.Ref(), r, tr)
+					}
+					s.Resolve("shared")
+				}
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+
+		first := got[0][0]
+		for w := range got {
+			if got[w][0] != first {
+				t.Fatalf("round %d: worker %d got a different trace for the shared file", round, w)
+			}
+			if w%2 == 1 && got[w][1] != first {
+				t.Fatalf("round %d: worker %d got a different trace for a copy of the shared file", round, w)
+			}
+			if w%2 == 0 && (got[w][1] == first || got[w][1].Len() != 100+w) {
+				t.Fatalf("round %d: worker %d: own file resolved to the wrong trace", round, w)
+			}
+		}
+		if tr, ok := s.Get(first.Hash); !ok || tr != first {
+			t.Fatalf("round %d: published trace not the one every caller got", round)
+		}
+		if n := len(s.Names()); n != 1+workers {
+			t.Fatalf("round %d: %d names registered, want %d", round, n, 1+workers)
+		}
+	}
+}
+
+// TestLoadDirFirstErrorDeterministic checks that concurrent decoding
+// keeps LoadDir's error deterministic: with two corrupt files the error
+// always names the first in sorted order.
+func TestLoadDirFirstErrorDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	for i, name := range []string{"a.vxt", "c.vxt", "e.vxt", "g.vex"} {
+		writeVXT(t, dir, name, "mcf", 200+i)
+	}
+	for _, name := range []string{"f.vxt", "d.vxt"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("VXT1 corrupt"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		_, err := New().LoadDir(dir)
+		if err == nil || !strings.HasPrefix(err.Error(), "d.vxt: ") {
+			t.Fatalf("run %d: want an error naming d.vxt, got %v", i, err)
+		}
 	}
 }
