@@ -517,18 +517,18 @@ func BenchmarkSimulatorThroughputReference(b *testing.B) {
 }
 
 // benchmarkTraceThroughput is the synthetic headline scenario (mmhh, CCSI
-// AS, 4 threads) with the generators swapped for the zero-copy trace
-// replay engine: each thread's stream is recorded once outside the timer
-// and replayed from a shared immutable arena, exactly how internal/wstore
-// serves first-class workloads. The instrs/s ratio against
-// BenchmarkSimulatorThroughput is the replay path's relative speed — it
-// should be at least as fast as generating (no generator arithmetic, one
-// batched copy per fetch), and cmd/benchgate gates the ratio.
+// AS, 4 threads) with the generators swapped for the trace replay engine:
+// each thread's stream is recorded once outside the timer, encoded as
+// VXT1 records and replayed from them, exactly how internal/wstore serves
+// first-class workloads. The instrs/s ratio against
+// BenchmarkSimulatorThroughput is the replay path's relative speed (no
+// generator arithmetic, one record expanded per fetched instruction), and
+// cmd/benchgate gates the ratio.
 func benchmarkTraceThroughput(b *testing.B, reference bool) {
 	names := mixNames(b, "mmhh")
 	cfg := sim.DefaultConfig(core.CCSI(core.CommAlwaysSplit), len(names)).WithScale(benchScale)
 	cfg.ReferenceLoop = reference
-	arenas := make([][]synth.TInst, len(names))
+	recs := make([]trace.Records, len(names))
 	for i, name := range names {
 		p, ok := synth.ByName(name)
 		if !ok {
@@ -537,14 +537,18 @@ func benchmarkTraceThroughput(b *testing.B, reference bool) {
 		gen := synth.MustNewGenerator(p, isa.ST200x4)
 		// One spawn's worth of instructions, so replay does the same work
 		// per run as the synthetic path.
-		arenas[i] = trace.Record(gen, int(gen.Length(cfg.ScaleDiv)))
+		r, err := trace.Encode(isa.ST200x4.Clusters, trace.Record(gen, int(gen.Length(cfg.ScaleDiv))))
+		if err != nil {
+			b.Fatal(err)
+		}
+		recs[i] = r
 	}
 	b.ResetTimer()
 	var instrs int64
 	for i := 0; i < b.N; i++ {
-		jobs := make([]*sim.Job, len(arenas))
-		for t, arena := range arenas {
-			rep, err := trace.NewReplayer(names[t], arena)
+		jobs := make([]*sim.Job, len(recs))
+		for t, r := range recs {
+			rep, err := trace.NewReplayer(names[t], r)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -576,13 +580,14 @@ func BenchmarkTraceReplayThroughputReference(b *testing.B) {
 }
 
 // BenchmarkLoadWorkloads times the workload-store hop of a cold sweep's
-// set-up on the checked-in corpus. decode is trace.Decode of each .vxt
-// file's bytes, reported per instruction; loaddir is a fresh store's
-// LoadDir of the whole directory: map, hash, decode (or assemble and
-// record a .vex program) and publish.
+// set-up on the checked-in corpus. parse is trace.Parse of each .vxt
+// file's bytes (validate every record, copy out the record bytes),
+// reported per instruction; loaddir is a fresh store's LoadDir of the
+// whole directory: map, hash, parse (or assemble and record a .vex
+// program) and publish.
 func BenchmarkLoadWorkloads(b *testing.B) {
 	const dir = "examples/corpus"
-	b.Run("decode", func(b *testing.B) {
+	b.Run("parse", func(b *testing.B) {
 		paths, err := filepath.Glob(filepath.Join(dir, "*.vxt"))
 		if err != nil || len(paths) == 0 {
 			b.Fatalf("no traces in %s: %v", dir, err)
@@ -597,11 +602,11 @@ func BenchmarkLoadWorkloads(b *testing.B) {
 		instrs := 0
 		for i := 0; i < b.N; i++ {
 			for _, data := range files {
-				_, _, in, err := trace.Decode(data)
+				_, recs, err := trace.Parse(data)
 				if err != nil {
 					b.Fatal(err)
 				}
-				instrs += len(in)
+				instrs += recs.Len()
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
@@ -613,4 +618,27 @@ func BenchmarkLoadWorkloads(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkReplayExpand times the replay hop alone: NextN over each trace
+// of the checked-in corpus in fetch-sized batches (synth.BatchSize), the
+// records expanded into a reused buffer as the simulator's fetch stage
+// does. Reported per instruction.
+func BenchmarkReplayExpand(b *testing.B) {
+	traces, err := wstore.New().LoadDir("examples/corpus")
+	if err != nil {
+		b.Fatal(err)
+	}
+	reps := make([]*trace.Replayer, len(traces))
+	for i, tr := range traces {
+		if reps[i], err = tr.NewReplayer(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	buf := make([]synth.TInst, synth.BatchSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reps[i%len(reps)].NextN(buf)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(buf)), "ns/instr")
 }

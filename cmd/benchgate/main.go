@@ -61,7 +61,7 @@ type Baseline struct {
 	PrePRIMTInstrsPerSec float64 `json:"pre_pr_imt_instrs_per_sec,omitempty"`
 	// TraceReplayInstrsPerSec is the expected BenchmarkTraceReplayThroughput
 	// headline — the same SMT workload replayed from recorded traces through
-	// the zero-copy workload store (PR 9) instead of the synthetic
+	// the workload store's trace records instead of the synthetic
 	// generators. Gated like the other headlines; zero skips the check
 	// (pre-PR-9 baselines).
 	TraceReplayInstrsPerSec float64 `json:"trace_replay_instrs_per_sec,omitempty"`
@@ -99,7 +99,7 @@ type Report struct {
 	// The trace block covers the recorded-workload replay path
 	// (BenchmarkTraceReplayThroughput): absolute floor against the baseline,
 	// in-job fast/reference ratio, and TraceOverSynthetic — the
-	// hardware-independent check that zero-copy replay stays within
+	// hardware-independent check that trace replay stays within
 	// -min-trace-ratio of the synthetic-generator headline measured in the
 	// same run.
 	TraceInstrsPerSec          float64            `json:"trace_replay_instrs_per_sec,omitempty"`

@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -82,21 +83,20 @@ func run(args []string) error {
 		return recordTrace(prof, *record, *out)
 
 	case *replay != "":
-		f, err := os.Open(*replay)
+		data, err := os.ReadFile(*replay)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		name, clusters, instrs, err := trace.Read(f)
+		name, recs, err := trace.Parse(data)
 		if err != nil {
 			return err
 		}
-		rep, err := trace.NewReplayer(name, instrs)
+		rep, err := trace.NewReplayer(name, recs)
 		if err != nil {
 			return err
 		}
-		sh := synth.Measure(rep, int64(len(instrs)))
-		fmt.Printf("trace %s: %d instructions, %d clusters\n", name, len(instrs), clusters)
+		sh := synth.Measure(rep, int64(recs.Len()))
+		fmt.Printf("trace %s: %d instructions, %d clusters\n", name, recs.Len(), recs.Clusters())
 		fmt.Printf("  ops/instr %.3f  taken %.3f  mem/instr %.3f  comm %.3f\n",
 			sh.OpsPerInstr, sh.TakenFrac, sh.MemPerInstr, sh.CommFrac)
 		return nil
@@ -166,17 +166,40 @@ func recordTrace(prof synth.Profile, n int, path string) error {
 		return err
 	}
 	instrs := trace.Record(gen, n)
-	f, err := os.Create(path)
+	err = writeFile(path, func(w io.Writer) error {
+		return trace.Write(w, prof.Name, isa.ST200x4.Clusters, instrs)
+	})
 	if err != nil {
-		return err
-	}
-	if err := trace.Write(f, prof.Name, isa.ST200x4.Clusters, instrs); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("recorded %d instructions of %s to %s\n", len(instrs), prof.Name, path)
 	return nil
+}
+
+// writeFile writes path through a temp file in the same directory and
+// renames it into place only when write, sync and close succeed, so a
+// failed or interrupted recording never leaves a torn trace where a
+// workload loader would find it (the temp name does not end in .vxt).
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
+	if err != nil {
+		return err
+	}
+	err = f.Chmod(0o644)
+	if err == nil {
+		err = write(f)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }

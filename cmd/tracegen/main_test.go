@@ -1,6 +1,8 @@
 package main
 
 import (
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -67,5 +69,36 @@ func TestCorpusRecordsVectorProfiles(t *testing.T) {
 		if tr.Len() != 300 {
 			t.Errorf("%s: %d instructions, want 300", tr.Name, tr.Len())
 		}
+	}
+}
+
+// TestWriteFileLeavesNoTornTrace: a recording whose write fails leaves no
+// file at the target path (nor a temp file a loader could pick up), and
+// an existing trace there is left as it was.
+func TestWriteFileLeavesNoTornTrace(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "fir.vxt")
+	failing := func(w io.Writer) error {
+		w.Write([]byte("VXT1 half a trace"))
+		return errors.New("disk full")
+	}
+	if err := writeFile(path, failing); err == nil {
+		t.Fatal("failed write reported success")
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Fatalf("failed write left %d files, first %s", len(entries), entries[0].Name())
+	}
+
+	if err := writeFile(path, func(w io.Writer) error { _, err := w.Write([]byte("old")); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFile(path, failing); err == nil {
+		t.Fatal("failed write reported success")
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "old" {
+		t.Fatalf("failed write replaced the existing file: %q, %v", got, err)
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("failed write left %d files, want only the existing trace", len(entries))
 	}
 }

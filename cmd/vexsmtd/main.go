@@ -127,8 +127,8 @@ func run(args []string) error {
 		return err
 	}
 	// Load the trace corpus eagerly so a bad -workload-dir fails startup,
-	// not the first plan. The files decode once into the process-shared
-	// store; the server and every per-plan service replay the same arena.
+	// not the first plan. The files parse once into the process-shared
+	// store; the server and every per-plan service replay the same records.
 	var corpus []string
 	if *wlDir != "" {
 		if corpus, err = vexsmt.LoadWorkloads(*wlDir); err != nil {

@@ -233,3 +233,20 @@ func TestAccuracyLongHistory(t *testing.T) {
 		t.Errorf("tage accuracy %.4f on period-32 pattern, want >= 0.99", accT)
 	}
 }
+
+// BenchmarkPredictUpdate times one Predict and the Update that follows it,
+// the simulator's per-branch use of a model, over the mixed synthetic
+// stream.
+func BenchmarkPredictUpdate(b *testing.B) {
+	stream := synthStream(1 << 16)
+	for _, name := range Names() {
+		b.Run(name, func(b *testing.B) {
+			p, _ := New(name)
+			for i := 0; i < b.N; i++ {
+				e := stream[i&(len(stream)-1)]
+				p.Predict(e.pc)
+				p.Update(e.pc, e.taken)
+			}
+		})
+	}
+}

@@ -37,6 +37,33 @@ type tage struct {
 	banks   [len(tageHists)][1 << tageBankBits]tageEntry
 	hist    uint64 // global history, newest outcome in bit 0
 	updates uint64 // drives periodic usefulness decay
+
+	// folds holds every bank's folded history, kept in step with hist as
+	// it shifts, so a lookup never re-folds 64 bits of history per bank.
+	folds [len(tageHists)]tageFolds
+
+	// memo is the last lookup Predict made, for pc memoPC. Update reuses
+	// it for the same pc; Update and Reset invalidate it, since only they
+	// change the tables and the history a lookup reads.
+	memo   tageLookup
+	memoPC uint64
+	memoOK bool
+}
+
+// tageFolds are one bank's history folds: the XOR-fold of its
+// tageHists[b] newest outcomes into the index width, the tag width and
+// one bit less than the tag width.
+type tageFolds struct {
+	idx, tag8, tag7 uint64
+}
+
+// tageLookup is the result of one table lookup: the provider (longest
+// matching bank, -1 for none), its entry index, and the alternate
+// prediction (next matching bank below it, or the base table).
+type tageLookup struct {
+	provider int
+	idx      uint64
+	altPred  bool
 }
 
 func newTAGE() *tage {
@@ -56,61 +83,76 @@ func (t *tage) Reset() {
 	}
 	t.hist = 0
 	t.updates = 0
+	t.folds = [len(tageHists)]tageFolds{}
+	t.memoOK = false
 }
 
 func (t *tage) Name() string { return "tage" }
 
-// fold compresses the low bits history bits of h into width bits by
-// XOR-folding successive chunks.
-func fold(h uint64, bits, width uint) uint64 {
-	h &= ^uint64(0) >> (64 - bits)
-	var f uint64
-	for ; h != 0; h >>= width {
-		f ^= h & (1<<width - 1)
+// tageFoldOut holds, per bank and fold, where a fold's rotation carries
+// the history bit that leaves the bank's window: its length modulo the
+// fold width.
+var tageFoldOut = func() (o [len(tageHists)]tageFolds) {
+	for b, n := range tageHists {
+		o[b] = tageFolds{uint64(n % tageBankBits), uint64(n % tageTagBits), uint64(n % (tageTagBits - 1))}
 	}
-	return f
+	return o
+}()
+
+// foldShift advances f, a width-bit XOR-fold of a history window, by one
+// history shift: every history bit moves up one place, in, the newest
+// outcome, enters at bit 0, and out, the bit that leaves the window, is
+// cancelled at outPos, where the rotation carried it.
+func foldShift(f uint64, width uint, in, out, outPos uint64) uint64 {
+	f = (f<<1 | f>>(width-1)) & (1<<width - 1)
+	return f ^ in ^ out<<outPos
 }
 
 func (t *tage) index(bank int, pc uint64) uint64 {
-	h := fold(t.hist, tageHists[bank], tageBankBits)
-	return ((pc >> 2) ^ (pc >> (2 + tageBankBits)) ^ h ^ uint64(bank)) & (1<<tageBankBits - 1)
+	return ((pc >> 2) ^ (pc >> (2 + tageBankBits)) ^ t.folds[bank].idx ^ uint64(bank)) & (1<<tageBankBits - 1)
 }
 
 func (t *tage) tag(bank int, pc uint64) uint8 {
-	h := fold(t.hist, tageHists[bank], tageTagBits) ^ fold(t.hist, tageHists[bank], tageTagBits-1)<<1
+	h := t.folds[bank].tag8 ^ t.folds[bank].tag7<<1
 	return uint8((pc >> 2) ^ (pc >> (2 + tageTagBits)) ^ h ^ uint64(bank)<<3)
 }
 
-// lookup finds the provider (longest matching bank, -1 for none) and the
-// alternate prediction (next matching bank below it, or the base table).
-func (t *tage) lookup(pc uint64) (provider int, providerIdx uint64, altPred bool) {
-	provider = -1
-	altPred = ctr2Taken(t.base[(pc>>2)&(1<<tableBits-1)])
+func (t *tage) lookup(pc uint64) tageLookup {
+	l := tageLookup{provider: -1, altPred: ctr2Taken(t.base[(pc>>2)&(1<<tableBits-1)])}
 	for b := len(t.banks) - 1; b >= 0; b-- {
 		i := t.index(b, pc)
 		if t.banks[b][i].tag != t.tag(b, pc) {
 			continue
 		}
-		if provider < 0 {
-			provider, providerIdx = b, i
+		if l.provider < 0 {
+			l.provider, l.idx = b, i
 			continue
 		}
-		altPred = t.banks[b][i].ctr >= 0
-		return provider, providerIdx, altPred
+		l.altPred = t.banks[b][i].ctr >= 0
+		return l
 	}
-	return provider, providerIdx, altPred
+	return l
 }
 
+// Predict looks pc up and keeps the result for the Update that follows.
+// The memo is invisible: it changes no prediction, only skips a repeat
+// lookup.
 func (t *tage) Predict(pc uint64) bool {
-	provider, idx, altPred := t.lookup(pc)
-	if provider < 0 {
-		return altPred // base prediction
+	l := t.lookup(pc)
+	t.memo, t.memoPC, t.memoOK = l, pc, true
+	if l.provider < 0 {
+		return l.altPred // base prediction
 	}
-	return t.banks[provider][idx].ctr >= 0
+	return t.banks[l.provider][l.idx].ctr >= 0
 }
 
 func (t *tage) Update(pc uint64, taken bool) {
-	provider, idx, altPred := t.lookup(pc)
+	l := t.memo
+	if !t.memoOK || t.memoPC != pc {
+		l = t.lookup(pc)
+	}
+	t.memoOK = false
+	provider, idx, altPred := l.provider, l.idx, l.altPred
 	pred := altPred
 	if provider >= 0 {
 		pred = t.banks[provider][idx].ctr >= 0
@@ -169,10 +211,18 @@ func (t *tage) Update(pc uint64, taken bool) {
 		}
 	}
 
-	t.hist <<= 1
+	var in uint64
 	if taken {
-		t.hist |= 1
+		in = 1
 	}
+	for b, n := range tageHists {
+		out := t.hist >> (n - 1) & 1
+		f, pos := &t.folds[b], &tageFoldOut[b]
+		f.idx = foldShift(f.idx, tageBankBits, in, out, pos.idx)
+		f.tag8 = foldShift(f.tag8, tageTagBits, in, out, pos.tag8)
+		f.tag7 = foldShift(f.tag7, tageTagBits-1, in, out, pos.tag7)
+	}
+	t.hist = t.hist<<1 | in
 	t.updates++
 	if t.updates%tageAgePeriod == 0 {
 		for b := range t.banks {

@@ -102,8 +102,11 @@ func referenceRead(r io.Reader) (name string, clusters int, instrs []synth.TInst
 }
 
 // FuzzDecodeMatchesReference is the differential check on the in-memory
-// decoder: on every input Decode and the streaming reference must accept
-// and reject alike, and what they accept must be the same trace.
+// decoder and the replayer: on every input Decode, Parse and the
+// streaming reference must accept and reject alike; what Decode accepts
+// must be the same trace; and replaying what Parse accepts for count+3
+// records, through the wrap and into a dirty buffer, must give the
+// reference's instructions record by record.
 func FuzzDecodeMatchesReference(f *testing.F) {
 	valid := validTraceBytes(f)
 	f.Add(valid)
@@ -122,6 +125,10 @@ func FuzzDecodeMatchesReference(f *testing.F) {
 		if (err == nil) != (rErr == nil) {
 			t.Fatalf("Decode err=%v, reference err=%v", err, rErr)
 		}
+		pName, recs, pErr := trace.Parse(data)
+		if (pErr == nil) != (rErr == nil) {
+			t.Fatalf("Parse err=%v, reference err=%v", pErr, rErr)
+		}
 		if err != nil {
 			return
 		}
@@ -137,12 +144,62 @@ func FuzzDecodeMatchesReference(f *testing.F) {
 		if cap(instrs) != len(instrs) {
 			t.Fatalf("arena cap %d for %d instructions", cap(instrs), len(instrs))
 		}
+
+		if pName != rName || recs.Clusters() != rClusters || recs.Len() != len(rInstrs) {
+			t.Fatalf("Parse %q/%d/%d, reference %q/%d/%d",
+				pName, recs.Clusters(), recs.Len(), rName, rClusters, len(rInstrs))
+		}
+		// The records are a copy of exactly the body's records: the bytes
+		// after the header, up to the end of the last record.
+		body := data[4+1+1+len(pName)+4:]
+		kept := recs.Bytes()
+		if len(kept) > len(body) || !bytes.Equal(kept, body[:len(kept)]) || cap(kept) != len(kept) {
+			t.Fatalf("Parse kept %d bytes (cap %d) that are not the body's prefix", len(kept), cap(kept))
+		}
+		if len(kept) > 0 && &kept[0] == &body[0] {
+			t.Fatal("Parse records alias the input")
+		}
+		if len(rInstrs) == 0 {
+			if _, err := trace.NewReplayer(pName, recs); err == nil {
+				t.Fatal("replayer accepted an empty trace")
+			}
+			return
+		}
+		one, err := trace.NewReplayer(pName, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, _ := trace.NewReplayer(pName, recs)
+		// Replay into slots holding stale values in every field, as a
+		// reused fetch buffer does.
+		dirty := synth.TInst{PC: ^uint64(0), Size: 7, Taken: true, IsBranch: true, MemAddr: [isa.MaxClusters]uint64{1, 2, 3, 4, 5, 6, 7, 8}}
+		for c := range dirty.Demand.B {
+			dirty.Demand.B[c] = isa.BundleDemand{Ops: 9, ALU: 9, Mul: 9, Mem: 9, Load: true, Stor: true, Comm: true}
+		}
+		dirty.Demand.HasComm, dirty.Demand.Taken = true, true
+		out := make([]synth.TInst, len(rInstrs)+3)
+		for i := range out {
+			out[i] = dirty
+		}
+		batch.NextN(out)
+		for i := range out {
+			ti := dirty
+			one.Next(&ti)
+			want := rInstrs[i%len(rInstrs)]
+			if ti != want {
+				t.Fatalf("replay record %d: Next %+v, reference %+v", i, ti, want)
+			}
+			if out[i] != want {
+				t.Fatalf("replay record %d: NextN %+v, reference %+v", i, out[i], want)
+			}
+		}
 	})
 }
 
 // TestDecodeArenaBoundedByBody pins the arena sizing: a header claiming
 // 2^32-1 instructions over an N-byte body allocates at most N/14 records
-// (14 bytes is the smallest record), however far the decode gets.
+// (14 bytes is the smallest record) in Decode and at most N bytes in
+// Parse, however far they get.
 func TestDecodeArenaBoundedByBody(t *testing.T) {
 	const records = 1000
 	var buf bytes.Buffer
@@ -165,5 +222,16 @@ func TestDecodeArenaBoundedByBody(t *testing.T) {
 	limit := uint64(len(body)/14)*uint64(unsafe.Sizeof(synth.TInst{})) + 16<<10
 	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
 		t.Fatalf("decode allocated %d bytes, want at most %d (%d records)", got, limit, len(body)/14)
+	}
+
+	runtime.ReadMemStats(&before)
+	_, _, err = trace.Parse(data)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated trace accepted by Parse")
+	}
+	limit = uint64(len(body)) + 16<<10
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Fatalf("parse allocated %d bytes, want at most %d (the body)", got, limit)
 	}
 }

@@ -18,6 +18,16 @@ func record(t *testing.T, bench string, n int) []synth.TInst {
 	return Record(synth.MustNewGenerator(p, isa.ST200x4), n)
 }
 
+// encode returns the in-memory records of instrs on the 4-cluster machine.
+func encode(t *testing.T, instrs []synth.TInst) Records {
+	t.Helper()
+	recs, err := Encode(4, instrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
 func TestRoundTrip(t *testing.T) {
 	instrs := record(t, "idct", 5000)
 	var buf bytes.Buffer
@@ -92,7 +102,7 @@ func TestTruncatedStream(t *testing.T) {
 
 func TestReplayerLoops(t *testing.T) {
 	instrs := record(t, "gsmencode", 50)
-	r, err := NewReplayer("gsm", instrs)
+	r, err := NewReplayer("gsm", encode(t, instrs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +125,7 @@ func TestReplayerLoops(t *testing.T) {
 }
 
 func TestEmptyReplayerRejected(t *testing.T) {
-	if _, err := NewReplayer("x", nil); err == nil {
+	if _, err := NewReplayer("x", Records{}); err == nil {
 		t.Fatal("empty trace accepted")
 	}
 }
@@ -126,8 +136,8 @@ func TestReplayerNextNMatchesNext(t *testing.T) {
 	// the whole trace length.
 	instrs := record(t, "idct", 37)
 	for _, batch := range []int{1, 7, 36, 37, 38, 64, 100} {
-		ref, _ := NewReplayer("a", instrs)
-		got, _ := NewReplayer("b", instrs)
+		ref, _ := NewReplayer("a", encode(t, instrs))
+		got, _ := NewReplayer("b", encode(t, instrs))
 		want := make([]synth.TInst, batch)
 		out := make([]synth.TInst, batch)
 		for round := 0; round < 5; round++ {
@@ -145,10 +155,10 @@ func TestReplayerNextNMatchesNext(t *testing.T) {
 }
 
 func TestReplayerNextNZeroAlloc(t *testing.T) {
-	// The refill path must not allocate: replayed cells share one arena
-	// and ride the same zero-alloc fetch loop as synthetic streams.
+	// The refill path must not allocate: replayed cells share one set of
+	// records and ride the same zero-alloc fetch loop as synthetic streams.
 	instrs := record(t, "mcf", 100)
-	r, err := NewReplayer("mcf", instrs)
+	r, err := NewReplayer("mcf", encode(t, instrs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +229,7 @@ func TestReplayerMatchesGenerator(t *testing.T) {
 	p, _ := synth.ByName("cjpeg")
 	gen := synth.MustNewGenerator(p, isa.ST200x4)
 	instrs := Record(gen, 1000)
-	rep, _ := NewReplayer("cjpeg", instrs)
+	rep, _ := NewReplayer("cjpeg", encode(t, instrs))
 	gen2 := synth.MustNewGenerator(p, isa.ST200x4)
 	var a, b synth.TInst
 	for i := 0; i < 1000; i++ {

@@ -7,6 +7,7 @@ import (
 	"vexsmt/internal/asm"
 	"vexsmt/internal/isa"
 	"vexsmt/internal/synth"
+	"vexsmt/internal/trace"
 	"vexsmt/internal/vexmach"
 )
 
@@ -21,18 +22,18 @@ const vexBase = 0x1000
 
 // recordVEX assembles src for the paper's 4-cluster machine, executes it
 // once on the functional model, and records the executed instruction
-// stream as trace input: per-cluster resource demands from the static
+// stream as trace records: per-cluster resource demands from the static
 // bundles, taken/branch flags from the observed control flow, and memory
 // addresses from the architectural registers at issue time. The recording
 // is purely deterministic — same source bytes, same trace.
-func recordVEX(src []byte) ([]synth.TInst, int, error) {
+func recordVEX(src []byte) (trace.Records, error) {
 	geom := isa.ST200x4
 	prog, err := asm.Assemble(geom, vexBase, string(src))
 	if err != nil {
-		return nil, 0, err
+		return trace.Records{}, err
 	}
 	if len(prog.Instrs) == 0 {
-		return nil, 0, fmt.Errorf("program has no instructions")
+		return trace.Records{}, fmt.Errorf("program has no instructions")
 	}
 	m := vexmach.MustNew(geom)
 	m.SetPC(prog.Base)
@@ -44,7 +45,7 @@ func recordVEX(src []byte) ([]synth.TInst, int, error) {
 			break // fell off the program: halt
 		}
 		if steps >= vexMaxSteps {
-			return nil, 0, fmt.Errorf("program did not halt within %d steps", vexMaxSteps)
+			return trace.Records{}, fmt.Errorf("program did not halt within %d steps", vexMaxSteps)
 		}
 		in := prog.Instrs[idx]
 		var ti synth.TInst
@@ -54,16 +55,16 @@ func recordVEX(src []byte) ([]synth.TInst, int, error) {
 		fillMemAddrs(&ti, m, in, geom.Clusters)
 		isBranch := hasBranch(in)
 		if err := m.Exec(in); err != nil {
-			return nil, 0, fmt.Errorf("pc=0x%x: %w", in.Addr, err)
+			return trace.Records{}, fmt.Errorf("pc=0x%x: %w", in.Addr, err)
 		}
 		ti.Taken = isBranch && m.PC() != in.Addr+uint64(in.Size)
 		ti.IsBranch = isBranch
 		instrs = append(instrs, ti)
 	}
 	if len(instrs) == 0 {
-		return nil, 0, fmt.Errorf("program executed no instructions")
+		return trace.Records{}, fmt.Errorf("program executed no instructions")
 	}
-	return instrs, geom.Clusters, nil
+	return trace.Encode(geom.Clusters, instrs)
 }
 
 // fillMemAddrs records the effective address of each cluster's memory

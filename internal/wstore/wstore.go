@@ -1,14 +1,14 @@
 // Package wstore is the content-addressed, load-once workload store behind
 // the experiment grid's workload axis. Binary VXT1 traces are mmap'd (with
-// a plain-read fallback) and decoded once per process into an immutable
-// flat []synth.TInst arena keyed by the sha256 of the file bytes (loads
-// racing on the same new content may each decode; the first arena
-// published is the one kept); every concurrent cell and daemon job
-// replays the same arena through zero-copy trace.Replayer cursors. VEX
-// assembly programs enter the same store: they are assembled and executed
-// through the functional machine once at load time, the executed
-// instruction stream recorded as a trace, and from then on are
-// indistinguishable from a loaded .vxt.
+// a plain-read fallback), validated once per process by trace.Parse and
+// kept as their immutable record bytes, keyed by the sha256 of the file
+// bytes (loads racing on the same new content may each parse; the first
+// trace published is the one kept); every concurrent cell and daemon job
+// replays the same bytes through trace.Replayer cursors that expand each
+// record at fetch. VEX assembly programs enter the same store: they are
+// assembled and executed through the functional machine once at load
+// time, the executed instruction stream encoded as trace records, and from
+// then on are indistinguishable from a loaded .vxt.
 //
 // Content addressing is what makes the workload axis safe to cache and to
 // distribute: a cell's cache key folds in the workload's content hash, so
@@ -19,6 +19,7 @@ package wstore
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -28,34 +29,29 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"vexsmt/internal/synth"
 	"vexsmt/internal/trace"
 )
 
-// Trace is one immutable decoded workload. The instruction arena is shared
-// by every consumer — callers must never mutate the slice returned by
-// Instrs or feed it to code that does.
+// Trace is one immutable loaded workload: its validated VXT1 records,
+// shared by every replayer.
 type Trace struct {
 	Name     string // workload name: the source file's base name sans extension
 	Hash     string // sha256 hex of the source file bytes
 	Clusters int
-	instrs   []synth.TInst
+	recs     trace.Records
 }
 
 // Len returns the trace length in instructions.
-func (t *Trace) Len() int { return len(t.instrs) }
-
-// Instrs exposes the shared arena. Read-only by contract.
-func (t *Trace) Instrs() []synth.TInst { return t.instrs }
+func (t *Trace) Len() int { return t.recs.Len() }
 
 // Ref is the full workload identity, "name@sha256hex". It is what travels
 // in experiment cells and cache keys: the name for humans, the hash for
 // correctness.
 func (t *Trace) Ref() string { return t.Name + "@" + t.Hash }
 
-// NewReplayer returns a fresh zero-copy cursor over the shared arena.
+// NewReplayer returns a fresh cursor over the shared records.
 func (t *Trace) NewReplayer() (*trace.Replayer, error) {
-	return trace.NewReplayer(t.Name, t.instrs)
+	return trace.NewReplayer(t.Name, t.recs)
 }
 
 // SplitRef splits a "name@hash" workload reference. The hash part is empty
@@ -67,9 +63,9 @@ func SplitRef(ref string) (name, hash string) {
 	return ref, ""
 }
 
-// Store maps content hashes and workload names to decoded traces. The zero
+// Store maps content hashes and workload names to loaded traces. The zero
 // value is not usable; call New. Most callers want the process-global
-// Shared store, which is what gives "decoded exactly once per process".
+// Shared store, which is what gives "parsed exactly once per process".
 type Store struct {
 	mu     sync.Mutex
 	byHash map[string]*Trace
@@ -140,15 +136,15 @@ func (s *Store) Refs() []string {
 	return out
 }
 
-// Load reads, hashes, and decodes one workload file (.vxt trace or .vex
+// Load reads, hashes, and parses one workload file (.vxt trace or .vex
 // program). The file bytes are mapped read-only when the platform allows
 // it and copied otherwise; either way the mapping is released after the
-// one-time decode. Mapping, hashing and decoding run outside the store
-// lock, which is taken only to check names and publish the trace, so a
-// load never stalls a concurrent Resolve. Loading content the store
-// already holds returns the held trace without touching the decoder; two
-// loads of the same new content racing each other may both decode, and
-// both get the trace published first.
+// one-time parse, which copies out only the record bytes. Mapping, hashing
+// and parsing run outside the store lock, which is taken only to check
+// names and publish the trace, so a load never stalls a concurrent
+// Resolve. Loading content the store already holds returns the held trace
+// without touching the parser; two loads of the same new content racing
+// each other may both parse, and both get the trace published first.
 func (s *Store) Load(path string) (*Trace, error) {
 	name, t, err := s.prepare(path)
 	if err != nil {
@@ -158,7 +154,7 @@ func (s *Store) Load(path string) (*Trace, error) {
 }
 
 // LoadDir loads every .vxt and .vex file in dir and returns the loaded
-// traces in name order. Files are decoded on up to GOMAXPROCS goroutines
+// traces in name order. Files are parsed on up to GOMAXPROCS goroutines
 // but published one by one in sorted path order, so the store ends up as
 // a sequential load would leave it and the error reported is always the
 // one for the first failing file in that order.
@@ -221,9 +217,9 @@ func (s *Store) LoadDir(dir string) ([]*Trace, error) {
 	return out, nil
 }
 
-// prepare maps, hashes and decodes path without holding the store lock.
+// prepare maps, hashes and parses path without holding the store lock.
 // It returns the workload name and either the trace the store already
-// holds for the content or a freshly decoded one not yet published.
+// holds for the content or a freshly parsed one not yet published.
 func (s *Store) prepare(path string) (string, *Trace, error) {
 	data, release, err := mapFile(path)
 	if err != nil {
@@ -237,7 +233,7 @@ func (s *Store) prepare(path string) (string, *Trace, error) {
 	if t, ok := s.Get(hash); ok {
 		return name, t, nil
 	}
-	// A name already bound to other content fails before the decode, so
+	// A name already bound to other content fails before the parse, so
 	// the clash, not the file's contents, is what the caller hears about.
 	if prev, ok := s.ByName(name); ok && prev.Hash != hash {
 		return "", nil, clashError(name, prev.Hash, hash)
@@ -275,23 +271,17 @@ func clashError(name, held, hash string) error {
 // decode builds the trace for one file's bytes. Nothing in the result
 // aliases data: the caller releases the mapping as soon as this returns.
 func decode(name, path string, data []byte) (*Trace, error) {
-	switch filepath.Ext(path) {
-	case ".vex":
-		instrs, clusters, err := recordVEX(data)
-		if err != nil {
-			return nil, fmt.Errorf("wstore: %s: %w", name, err)
-		}
-		return &Trace{Name: name, Clusters: clusters, instrs: instrs}, nil
-	default:
-		_, clusters, instrs, err := trace.Decode(data)
-		if err != nil {
-			return nil, fmt.Errorf("wstore: %s: %w", name, err)
-		}
-		if len(instrs) == 0 {
-			return nil, fmt.Errorf("wstore: %s: empty trace", name)
-		}
-		return &Trace{Name: name, Clusters: clusters, instrs: instrs}, nil
+	var recs trace.Records
+	var err error
+	if filepath.Ext(path) == ".vex" {
+		recs, err = recordVEX(data)
+	} else if _, recs, err = trace.Parse(data); err == nil && recs.Len() == 0 {
+		err = errors.New("empty trace")
 	}
+	if err != nil {
+		return nil, fmt.Errorf("wstore: %s: %w", name, err)
+	}
+	return &Trace{Name: name, Clusters: recs.Clusters(), recs: recs}, nil
 }
 
 func workloadName(path string) string {

@@ -32,6 +32,18 @@ func writeVXT(t *testing.T, dir, name, bench string, n int) (string, []synth.TIn
 	return path, instrs
 }
 
+// replay reads tr's instructions through a replayer: one full pass.
+func replay(t *testing.T, tr *Trace) []synth.TInst {
+	t.Helper()
+	r, err := tr.NewReplayer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]synth.TInst, tr.Len())
+	r.NextN(out)
+	return out
+}
+
 const loopVEX = `
   c0 mov $r1 = 0
   c0 mov $r2 = 0
@@ -57,7 +69,7 @@ func TestLoadVXTDecodesOnce(t *testing.T) {
 	if tr.Name != "idct" || tr.Clusters != 4 || tr.Len() != len(want) {
 		t.Fatalf("header: %q clusters=%d len=%d", tr.Name, tr.Clusters, tr.Len())
 	}
-	for i, ti := range tr.Instrs() {
+	for i, ti := range replay(t, tr) {
 		if ti != want[i] {
 			t.Fatalf("instr %d mismatch", i)
 		}
@@ -87,24 +99,65 @@ func TestLoadVXTDecodesOnce(t *testing.T) {
 	}
 }
 
+// TestReplayerSharesArena checks that a trace's replayers all read the
+// store's one record buffer, and that a replayer costs only its cursor.
 func TestReplayerSharesArena(t *testing.T) {
 	dir := t.TempDir()
-	path, _ := writeVXT(t, dir, "mcf.vxt", "mcf", 50)
+	path, want := writeVXT(t, dir, "mcf.vxt", "mcf", 50)
 	s := New()
 	tr, err := s.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := tr.NewReplayer()
+	held := tr.recs.Bytes()
+	reps := make([]*trace.Replayer, 3)
+	for i := range reps {
+		if reps[i], err = tr.NewReplayer(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Every replayer reads the store's bytes in place: a change to the
+	// buffer (the first record's pc) shows through all of them.
+	held[0] ^= 0xFF
+	for i, r := range reps {
+		var ti synth.TInst
+		r.Next(&ti)
+		if ti.PC != want[0].PC^0xFF {
+			t.Fatalf("replayer %d read pc %#x, want %#x: it does not share the store's records", i, ti.PC, want[0].PC^0xFF)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { tr.NewReplayer() }); n != 1 {
+		t.Fatalf("NewReplayer makes %v allocations, want 1 (the cursor)", n)
+	}
+}
+
+// TestCorpusFootprint pins the memory a loaded trace keeps: its file's
+// record bytes and nothing more, at most 38 bytes per instruction for the
+// checked-in corpus, against 144 for an expanded instruction.
+func TestCorpusFootprint(t *testing.T) {
+	const dir = "../../examples/corpus"
+	traces, err := New().LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Zero-copy contract: the replayer reads the store's arena directly.
-	tr.Instrs()[0].PC = 0xdeadbeef
-	var ti synth.TInst
-	r.Next(&ti)
-	if ti.PC != 0xdeadbeef {
-		t.Fatal("replayer copied the arena instead of sharing it")
+	total := 0
+	for _, tr := range traces {
+		kept := tr.recs.Bytes()
+		total += cap(kept)
+		info, err := os.Stat(filepath.Join(dir, tr.Name+".vxt"))
+		if err != nil {
+			continue // a .vex program: no record file to compare with
+		}
+		header := 4 + 1 + 1 + len(tr.Name) + 4
+		if cap(kept) > int(info.Size())-header {
+			t.Errorf("%s keeps %d bytes, more than the file's %d record bytes", tr.Name, cap(kept), int(info.Size())-header)
+		}
+		if perInstr := float64(cap(kept)) / float64(tr.Len()); perInstr > 38 {
+			t.Errorf("%s keeps %.1f bytes per instruction, want at most 38", tr.Name, perInstr)
+		}
+	}
+	if total > 2300000 {
+		t.Errorf("loaded corpus keeps %d bytes of records, want at most 2.3 MB", total)
 	}
 }
 
@@ -123,7 +176,7 @@ func TestLoadVEXProgram(t *testing.T) {
 	if tr.Len() != 31 {
 		t.Fatalf("executed %d instructions, want 31", tr.Len())
 	}
-	instrs := tr.Instrs()
+	instrs := replay(t, tr)
 	taken, branches := 0, 0
 	for _, ti := range instrs {
 		if ti.IsBranch {
@@ -166,7 +219,7 @@ func TestLoadVEXMemAddrs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	instrs := tr.Instrs()
+	instrs := replay(t, tr)
 	if len(instrs) != 3 {
 		t.Fatalf("len=%d", len(instrs))
 	}

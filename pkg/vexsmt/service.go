@@ -294,10 +294,11 @@ func (s *Service) simulate(ctx context.Context, c CellSpec) (*stats.Run, error) 
 }
 
 // newTraceSim builds a simulator whose every hardware context replays the
-// cell's trace workload from the shared wstore arena: one zero-copy cursor
-// per context, no decoding, no per-cell copies. The simulator's own seed
-// (context-switch schedule, cache state) still derives from the cell, so
-// trace cells are exactly as deterministic as synthetic ones.
+// cell's trace workload from the shared wstore records: one cursor per
+// context, expanding records as it fetches, no per-cell copies. The
+// simulator's own seed (context-switch schedule, cache state) still
+// derives from the cell, so trace cells are exactly as deterministic as
+// synthetic ones.
 func (s *Service) newTraceSim(cfg sim.Config, c CellSpec) (*sim.Simulator, error) {
 	tr, ok := s.wl.Resolve(c.Workload)
 	if !ok {
