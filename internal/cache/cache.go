@@ -4,7 +4,10 @@
 // penalty for both ICache and DCache (no L2), Section VI-A.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes a cache geometry.
 type Config struct {
@@ -32,6 +35,11 @@ func (c Config) Validate() error {
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cache: set count %d not a power of two", sets)
 	}
+	if sets == 1 && c.LineBytes == 1 {
+		// The tag would be the whole 64-bit address, leaving no key for
+		// an invalid way.
+		return fmt.Errorf("cache: a single set of 1-byte lines is not supported")
+	}
 	return nil
 }
 
@@ -52,17 +60,28 @@ func (s Stats) MissRate() float64 {
 // Cache is a set-associative cache with true-LRU replacement. It models tag
 // state only (no data): the simulator needs hit/miss timing, while data
 // correctness is owned by the functional machine's flat memory.
+//
+// Each way is one 16-byte line, and a set's ways are contiguous, so a
+// lookup in the paper's 4-way cache reads one 64-byte host cache line.
 type Cache struct {
 	cfg      Config
-	sets     int
 	ways     int
 	lineBits uint
+	setBits  uint
 	setMask  uint64
-	tags     []uint64 // sets*ways entries
-	valid    []bool
-	lru      []uint32 // per-entry LRU stamp; larger = more recent
-	clock    uint32
+	lines    []line // sets*ways entries, set-major
+	clock    uint64
 	stats    Stats
+}
+
+// line is one way of a set. key is the tag plus one, so the zero line is
+// invalid; the tag has at most 63 bits, since Validate rejects the one
+// geometry with neither a line-offset nor a set bit. stamp orders valid
+// lines by recency, larger = more recent; the clock is 64-bit so stamps
+// never wrap.
+type line struct {
+	key   uint64
+	stamp uint64
 }
 
 // New builds a cache from a validated configuration.
@@ -71,20 +90,13 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	sets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
-	lineBits := uint(0)
-	for 1<<lineBits < cfg.LineBytes {
-		lineBits++
-	}
-	n := sets * cfg.Ways
 	return &Cache{
 		cfg:      cfg,
-		sets:     sets,
 		ways:     cfg.Ways,
-		lineBits: lineBits,
+		lineBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setBits:  uint(bits.TrailingZeros(uint(sets))),
 		setMask:  uint64(sets - 1),
-		tags:     make([]uint64, n),
-		valid:    make([]bool, n),
-		lru:      make([]uint32, n),
+		lines:    make([]line, sets*cfg.Ways),
 	}, nil
 }
 
@@ -104,33 +116,36 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a copy of the access statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
+// lookup returns addr's set and its line key.
+func (c *Cache) lookup(addr uint64) (set []line, key uint64) {
+	l := addr >> c.lineBits
+	base := int(l&c.setMask) * c.ways
+	return c.lines[base : base+c.ways : base+c.ways], l>>c.setBits + 1
+}
+
 // Access looks up addr, updating LRU state and allocating on miss
 // (write-allocate for stores, which matches a blocking first-level cache
-// with fetch-on-write). It returns true on hit.
+// with fetch-on-write). It returns true on hit. The victim is the last
+// invalid way, else the first way with the smallest stamp.
 func (c *Cache) Access(addr uint64) bool {
 	c.stats.Accesses++
-	line := addr >> c.lineBits
-	set := int(line & c.setMask)
-	tag := line >> 1 // keep full line id as tag (shifted to avoid set bits aliasing is unnecessary; full id is unique)
-	base := set * c.ways
+	set, key := c.lookup(addr)
 	c.clock++
-	victim, victimStamp := base, c.lru[base]
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
-			c.lru[i] = c.clock
+	victim, victimStamp := 0, set[0].stamp
+	for w := range set {
+		l := &set[w]
+		if l.key == key {
+			l.stamp = c.clock
 			return true
 		}
-		if !c.valid[i] {
-			victim, victimStamp = i, 0
-		} else if c.lru[i] < victimStamp {
-			victim, victimStamp = i, c.lru[i]
+		if l.key == 0 {
+			victim, victimStamp = w, 0
+		} else if l.stamp < victimStamp {
+			victim, victimStamp = w, l.stamp
 		}
 	}
 	c.stats.Misses++
-	c.tags[victim] = tag
-	c.valid[victim] = true
-	c.lru[victim] = c.clock
+	set[victim] = line{key: key, stamp: c.clock}
 	return false
 }
 
@@ -146,13 +161,9 @@ func (c *Cache) AccessPenalty(addr uint64) int {
 // Probe reports whether addr currently hits without touching LRU or
 // statistics and without allocating.
 func (c *Cache) Probe(addr uint64) bool {
-	line := addr >> c.lineBits
-	set := int(line & c.setMask)
-	tag := line >> 1
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
+	set, key := c.lookup(addr)
+	for w := range set {
+		if set[w].key == key {
 			return true
 		}
 	}
@@ -162,19 +173,12 @@ func (c *Cache) Probe(addr uint64) bool {
 // Flush invalidates all lines and clears statistics. Used at context-switch
 // points when simulating cold-cache policies and between benchmark runs.
 func (c *Cache) Flush() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.lru[i] = 0
-	}
-	c.clock = 0
+	c.Invalidate()
 	c.stats = Stats{}
 }
 
 // Invalidate clears tag state but keeps accumulated statistics.
 func (c *Cache) Invalidate() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.lru[i] = 0
-	}
+	clear(c.lines)
 	c.clock = 0
 }

@@ -32,7 +32,7 @@ func TestCycleZeroAllocs(t *testing.T) {
 				if !eng.Active(th) {
 					d := &streams[th][next[th]%len(streams[th])]
 					next[th]++
-					eng.LoadFrom(th, d)
+					eng.LoadFrom(th, d, d.UsedClusters(), th)
 				}
 			}
 			eng.CycleInto(&ready, &res)
@@ -64,7 +64,7 @@ func TestCycleMaskZeroAllocs(t *testing.T) {
 				if !eng.Active(th) {
 					d := &streams[th][next[th]%len(streams[th])]
 					next[th]++
-					eng.LoadFrom(th, d)
+					eng.LoadFrom(th, d, d.UsedClusters(), th)
 				}
 			}
 			eng.CycleMask(0b1111, &res)

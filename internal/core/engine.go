@@ -98,6 +98,7 @@ type Engine struct {
 
 	// Lowered decision state (NewEngine time).
 	clusters      int
+	clusterMask   uint8     // (1 << clusters) - 1
 	loadKind      issueKind // issue routine for non-comm instructions
 	commDowngrade bool      // NS + split: comm instructions issue whole
 	// orderTab[b] is the thread priority order when the rotation base is b:
@@ -138,6 +139,7 @@ func NewEngine(geom isa.Geometry, tech Technique, threads int) (*Engine, error) 
 		tech:          tech,
 		nt:            threads,
 		clusters:      geom.Clusters,
+		clusterMask:   uint8(1<<uint(geom.Clusters) - 1),
 		commDowngrade: tech.Split != SplitNone && tech.Comm == CommNoSplit,
 		prio:          NewRotator(threads),
 	}
@@ -191,24 +193,28 @@ func (e *Engine) Started(t int) bool {
 // Remaining returns the unissued demand of thread t at cluster c.
 func (e *Engine) Remaining(t, c int) isa.BundleDemand { return e.remaining[t][c] }
 
-// Load hands thread t its next VLIW instruction. The caller must only call
-// it when the thread has no in-flight instruction. Demands must already be
-// cluster-renamed if renaming is in effect (the simulator owns renaming so
-// that its per-cluster metadata stays aligned).
+// Load hands thread t its next VLIW instruction, un-renamed. The caller
+// must only call it when the thread has no in-flight instruction.
 func (e *Engine) Load(t int, d isa.InstrDemand) {
-	e.LoadFrom(t, &d)
+	e.LoadFrom(t, &d, d.UsedClusters(), 0)
 }
 
-// LoadFrom is Load without the by-value demand copy, for fetch loops that
-// already hold the demand in stable storage. d is read, never retained.
-func (e *Engine) LoadFrom(t int, d *isa.InstrDemand) {
+// LoadFrom is the engine's load path. live is the mask of clusters whose
+// bundle has Ops > 0; bits at or above the cluster count are ignored. by
+// in [0, Clusters) is the cluster renaming: raw bundle c issues on cluster
+// (c+by) mod Clusters, so Remaining, ThreadResult and the packet all see
+// renamed clusters. d is read, never retained.
+//
+// Only live bundles are written. The rest of remaining[t] is already zero:
+// Flush zeroes it, and an instruction retires only once every live bundle
+// has issued, which leaves each at zero demand (Ops = ALU+Mul+Mem).
+func (e *Engine) LoadFrom(t int, d *isa.InstrDemand, live uint8, by int) {
 	bit := uint8(1) << uint(t)
 	if e.active&bit != 0 {
 		panic("core: Load on thread with in-flight instruction")
 	}
 	e.active |= bit
 	e.started &^= bit
-	e.remaining[t] = d.B
 	e.storeBuf[t] = 0
 	// Lower the split decision once per instruction: under NS, an
 	// instruction containing send/recv must issue whole (Section V-E).
@@ -217,13 +223,18 @@ func (e *Engine) LoadFrom(t int, d *isa.InstrDemand) {
 		kind = kindWhole
 	}
 	e.kind[t] = kind
-	live := uint8(0)
-	for c := 0; c < e.clusters; c++ {
-		if d.B[c].Ops != 0 {
-			live |= 1 << uint(c)
+	rem := &e.remaining[t]
+	renamed := uint8(0)
+	for m := live & e.clusterMask; m != 0; m &= m - 1 {
+		c := bits.TrailingZeros8(m)
+		r := c + by
+		if r >= e.clusters {
+			r -= e.clusters
 		}
+		rem[r&(isa.MaxClusters-1)] = d.B[c]
+		renamed |= 1 << uint(r)
 	}
-	e.live[t] = live
+	e.live[t] = renamed
 }
 
 // Flush abandons thread t's in-flight instruction (context switch between

@@ -3,7 +3,8 @@ package isa
 // BundleDemand summarizes the resources one bundle needs from its cluster.
 // The timing simulator works on demands instead of full operation lists so
 // that trace-driven synthetic workloads and the functional machine share one
-// issue engine.
+// issue engine. The blank byte pads a demand to one 8-byte word, so an
+// instruction's eight bundles fill one 64-byte host cache line.
 type BundleDemand struct {
 	Ops  uint8 // issue slots (total operations)
 	ALU  uint8 // operations needing an ALU (includes branches and comm)
@@ -12,6 +13,7 @@ type BundleDemand struct {
 	Load bool  // the memory op (if any) is a load
 	Stor bool  // the memory op (if any) is a store
 	Comm bool  // bundle contains a send or recv
+	_    uint8
 }
 
 // IsEmpty reports whether the bundle demands nothing.

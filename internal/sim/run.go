@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"vexsmt/internal/core"
+	"vexsmt/internal/isa"
 	"vexsmt/internal/rng"
 	"vexsmt/internal/stats"
 	"vexsmt/internal/synth"
@@ -35,7 +36,6 @@ import (
 type runState struct {
 	wq         wakeQueue        // per-context wake-up event queue
 	res        core.CycleResult // engine scratch, rewritten every cycle
-	raw        synth.TInst      // reference-loop fetch scratch
 	maxCycles  int64
 	sliceEnd   int64
 	ctxCheckAt int64 // next cycle at which ctx.Err() is polled
@@ -286,15 +286,19 @@ func (s *Simulator) commitPhase(cycle int64, res *core.CycleResult) {
 
 // accountLoads charges DCache accesses for loads, which access at issue
 // time and stall the thread on a miss (VEX less-than-or-equal semantics).
+// LoadsAt holds renamed clusters; each maps back to its raw address slot.
 func (s *Simulator) accountLoads(t int, tr *core.ThreadResult, cycle int64) {
 	if tr.LoadsAt == 0 || s.cfg.PerfectMemory {
 		return
 	}
 	c := &s.ctxs[t]
 	for m := tr.LoadsAt; m != 0; m &= m - 1 {
-		cl := bits.TrailingZeros8(m)
+		cl := bits.TrailingZeros8(m) - c.rotation
+		if cl < 0 {
+			cl += s.cfg.Geom.Clusters
+		}
 		s.run.DCacheAccesses++
-		if !s.dc.Access(c.ti.MemAddr[cl]) {
+		if !s.dc.Access(c.ti.MemAddr[cl&(isa.MaxClusters-1)]) {
 			s.run.DCacheMisses++
 			pen := int64(s.cfg.DCache.MissPenalty)
 			if nr := cycle + 1 + pen; nr > s.ready[t] {
@@ -356,17 +360,24 @@ func (s *Simulator) retire(t int, cycle int64) {
 }
 
 // commitStores accounts the instruction's stores, which commit at the last
-// part (directly or from the delay buffers).
+// part (directly or from the delay buffers). It walks the store mask
+// renamed, so stores reach the DCache in ascending renamed cluster order,
+// and maps each renamed cluster back to its raw address slot.
 func (s *Simulator) commitStores(c *ctx) {
 	if s.cfg.PerfectMemory {
 		return
 	}
-	for cl := 0; cl < s.cfg.Geom.Clusters; cl++ {
-		if c.ti.Demand.B[cl].Stor {
-			s.run.DCacheAccesses++
-			if !s.dc.Access(c.ti.MemAddr[cl]) {
-				s.run.DCacheMisses++ // write-allocate, no stall
-			}
+	n := s.cfg.Geom.Clusters
+	all := uint8(1<<uint(n) - 1)
+	raw := c.ti.Stores & all
+	for m := (raw<<uint(c.rotation) | raw>>uint(n-c.rotation)) & all; m != 0; m &= m - 1 {
+		cl := bits.TrailingZeros8(m) - c.rotation
+		if cl < 0 {
+			cl += n
+		}
+		s.run.DCacheAccesses++
+		if !s.dc.Access(c.ti.MemAddr[cl&(isa.MaxClusters-1)]) {
+			s.run.DCacheMisses++ // write-allocate, no stall
 		}
 	}
 }
@@ -391,7 +402,7 @@ func (s *Simulator) fetch(t int, cycle int64) {
 	bit := uint8(1) << uint(t)
 	if s.have&bit != 0 {
 		if s.loaded&bit == 0 && cycle >= s.ready[t] {
-			s.eng.LoadFrom(t, &c.ti.Demand)
+			s.eng.LoadFrom(t, &c.ti.Demand, c.ti.Live, c.rotation)
 			s.loaded |= bit
 		}
 		return
@@ -410,19 +421,19 @@ func (s *Simulator) fetch(t int, cycle int64) {
 	if c.job.remaining <= 0 {
 		s.respawn(c.job)
 	}
-	raw := s.nextInstr(c.job)
-	rotateInto(&c.ti, raw, c.rotation, cfg.Geom.Clusters)
+	ti := s.nextInstr(c)
+	c.ti = ti
 	s.have |= bit
 	if !cfg.PerfectMemory {
 		s.run.ICacheAccesses++
-		if pen := s.ic.AccessPenalty(raw.PC); pen > 0 {
+		if pen := s.ic.AccessPenalty(ti.PC); pen > 0 {
 			s.run.ICacheMisses++
 			s.run.FetchStallCycles += int64(pen)
 			s.ready[t] = cycle + int64(pen)
 			return
 		}
 	}
-	s.eng.LoadFrom(t, &c.ti.Demand)
+	s.eng.LoadFrom(t, &ti.Demand, ti.Live, c.rotation)
 	s.loaded |= bit
 }
 
@@ -440,18 +451,20 @@ func (s *Simulator) respawn(j *Job) {
 	s.run.Respawns++
 }
 
-// nextInstr returns the job's next raw (un-renamed) trace instruction. The
-// fast path consumes the job's prefetch buffer, refilling it with whole
-// basic-block-sized runs via synth.FillN — never drawing past the current
-// spawn so respawn boundaries fall on exactly the same instruction as
-// per-instruction fetching. The reference loop bypasses the buffer and
-// draws one instruction at a time.
-func (s *Simulator) nextInstr(j *Job) *synth.TInst {
+// nextInstr returns the next raw (un-renamed) trace instruction of the
+// context's job. The fast path consumes the job's prefetch buffer,
+// refilling it with whole basic-block-sized runs via synth.FillN — never
+// drawing past the current spawn so respawn boundaries fall on exactly the
+// same instruction as per-instruction fetching. The reference loop
+// bypasses the buffer and draws one instruction at a time into the
+// context's own slot.
+func (s *Simulator) nextInstr(c *ctx) *synth.TInst {
+	j := c.job
 	if j.bufPos == len(j.buf) {
 		if s.cfg.ReferenceLoop {
-			j.Stream.Next(&s.st.raw)
+			j.Stream.Next(&c.raw)
 			j.drawsLeft--
-			return &s.st.raw
+			return &c.raw
 		}
 		n := fetchBatch
 		if int64(n) > j.drawsLeft {

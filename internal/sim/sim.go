@@ -6,7 +6,6 @@ import (
 	"vexsmt/internal/bpred"
 	"vexsmt/internal/cache"
 	"vexsmt/internal/core"
-	"vexsmt/internal/isa"
 	"vexsmt/internal/rng"
 	"vexsmt/internal/stats"
 	"vexsmt/internal/synth"
@@ -26,7 +25,7 @@ type Job struct {
 
 	// Prefetch buffer: raw (un-renamed) instructions drawn from Stream in
 	// fetchBatch runs. The buffer travels with the job across context
-	// switches; renaming is applied per-context at consumption time.
+	// switches; renaming is applied per-context when the engine loads.
 	buf       []synth.TInst
 	bufPos    int
 	drawsLeft int64 // instructions left to draw from Stream this spawn
@@ -44,10 +43,18 @@ func NewJob(s synth.Stream, scaleDiv int64) *Job {
 // the Simulator (ready, and the have/loaded/wantSw/wasSplit bitmasks), so
 // the per-cycle paths evaluate whole-machine conditions with bitwise
 // operations instead of walking per-context structs with bool fields.
+//
+// ti points at the current instruction, un-renamed, in the job's prefetch
+// buffer (or in raw under the reference loop). The slot stays valid until
+// the instruction retires: a job refills its buffer only when it fetches
+// past the end, and it fetches again only after the current instruction
+// retires. The engine applies the rotation when it loads the instruction;
+// the DCache paths map renamed clusters back to ti's address slots.
 type ctx struct {
 	job      *Job
-	ti       synth.TInst // current instruction, cluster-renamed
-	rotation int
+	ti       *synth.TInst
+	raw      synth.TInst // reference-loop fetch slot
+	rotation int         // cluster renaming, in [0, Clusters)
 }
 
 // Simulator runs one configuration over one workload. A Simulator owns all
@@ -158,35 +165,4 @@ func NewWorkload(cfg Config, profiles []synth.Profile) (*Simulator, error) {
 		jobs[i] = NewJob(gen, cfg.ScaleDiv)
 	}
 	return New(cfg, jobs)
-}
-
-// rotateInto applies cluster renaming to a fetched instruction, writing
-// the result in place: demand and per-cluster memory addresses move
-// together in one modulo-free pass (equivalent to InstrDemand.Rotate plus
-// the address rotation, fused for the fetch hot path). src and dst must
-// not alias.
-func rotateInto(dst, src *synth.TInst, by, clusters int) {
-	if by == 0 {
-		*dst = *src
-		return
-	}
-	dst.Demand.HasComm = src.Demand.HasComm
-	dst.Demand.Taken = src.Demand.Taken
-	j := by
-	for c := 0; c < clusters; c++ {
-		dst.Demand.B[j] = src.Demand.B[c]
-		dst.MemAddr[j] = src.MemAddr[c]
-		j++
-		if j == clusters {
-			j = 0
-		}
-	}
-	for c := clusters; c < isa.MaxClusters; c++ {
-		dst.Demand.B[c] = src.Demand.B[c]
-		dst.MemAddr[c] = src.MemAddr[c]
-	}
-	dst.PC = src.PC
-	dst.Size = src.Size
-	dst.Taken = src.Taken
-	dst.IsBranch = src.IsBranch
 }

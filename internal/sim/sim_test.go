@@ -4,8 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"vexsmt/internal/cache"
 	"vexsmt/internal/core"
-	"vexsmt/internal/isa"
 	"vexsmt/internal/regfile"
 	"vexsmt/internal/synth"
 	"vexsmt/internal/workload"
@@ -398,22 +398,40 @@ func TestMaxCyclesGuard(t *testing.T) {
 	}
 }
 
-func TestRotateHelper(t *testing.T) {
+// TestRenamedClustersMapToRawAddresses pins how the DCache paths undo
+// cluster renaming. The engine reports loads at renamed clusters, and a
+// load at renamed cluster c must access the address of raw cluster
+// (c-rotation) mod n. Stores commit in ascending renamed order. The
+// DCache here holds one line, so the last address accessed is the one
+// resident; over every pair of store clusters that fixes their order.
+func TestRenamedClustersMapToRawAddresses(t *testing.T) {
+	const n = 4
+	cfg := testConfig(core.SMT(), 1)
+	cfg.DCache = cache.Config{SizeBytes: 64, LineBytes: 64, Ways: 1, MissPenalty: 1}
 	var ti synth.TInst
-	ti.Demand.B[0] = isa.BundleDemand{Ops: 2, ALU: 2}
-	ti.Demand.B[1] = isa.BundleDemand{Ops: 1, Mem: 1, Load: true}
-	ti.MemAddr[1] = 0xBEEF
-	var out synth.TInst
-	rotateInto(&out, &ti, 2, 4)
-	if out.Demand.B[2].Ops != 2 || out.Demand.B[3].Mem != 1 {
-		t.Fatalf("demand not rotated: %+v", out.Demand)
+	for c := range ti.MemAddr[:n] {
+		ti.MemAddr[c] = 0x1000 * uint64(c+1)
 	}
-	if out.MemAddr[3] != 0xBEEF || out.MemAddr[1] != 0 {
-		t.Fatalf("addresses not rotated with demand: %v", out.MemAddr)
-	}
-	var same synth.TInst
-	rotateInto(&same, &ti, 0, 4)
-	if same != ti {
-		t.Fatal("zero rotation changed instruction")
+	for by := 0; by < n; by++ {
+		s := &Simulator{cfg: cfg, dc: cache.MustNew(cfg.DCache), ctxs: []ctx{{ti: &ti, rotation: by}}}
+		for c := 0; c < n; c++ {
+			s.accountLoads(0, &core.ThreadResult{LoadsAt: 1 << uint(c)}, 0)
+			if raw := (c - by + n) % n; !s.dc.Probe(ti.MemAddr[raw]) {
+				t.Errorf("rotation %d: a load at renamed cluster %d did not access raw cluster %d", by, c, raw)
+			}
+		}
+		for stores := uint8(1); stores < 1<<n; stores++ {
+			last := -1
+			for c := 0; c < n; c++ { // renamed order
+				if raw := (c - by + n) % n; stores&(1<<uint(raw)) != 0 {
+					last = raw
+				}
+			}
+			ti.Stores = stores
+			s.commitStores(&s.ctxs[0])
+			if !s.dc.Probe(ti.MemAddr[last]) {
+				t.Errorf("rotation %d, stores %04b: raw cluster %d was not the last store committed", by, stores, last)
+			}
+		}
 	}
 }

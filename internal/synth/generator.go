@@ -14,18 +14,33 @@ import (
 // TInst is one trace instruction: the resource demand the issue engine
 // needs plus the addresses the cache models need. It carries no operand
 // values — a statically scheduled VLIW's timing does not depend on them.
+// Live and Stores are cluster masks derived from Demand (Masks), filled
+// by every producer so the fetch path need not rescan the bundles.
 type TInst struct {
 	Demand   isa.InstrDemand
 	PC       uint64
 	Size     uint32
-	Taken    bool // instruction ends with a taken branch
-	IsBranch bool // instruction ends with a conditional branch (taken or not)
+	Taken    bool  // instruction ends with a taken branch
+	IsBranch bool  // instruction ends with a conditional branch (taken or not)
+	Live     uint8 // bit c: Demand.B[c].Ops > 0
+	Stores   uint8 // bit c: Demand.B[c].Stor
 	MemAddr  [isa.MaxClusters]uint64
+}
+
+// Masks returns the Live and Stores masks of a demand.
+func Masks(d *isa.InstrDemand) (live, stores uint8) {
+	for c := range d.B {
+		if d.B[c].Stor {
+			stores |= 1 << uint(c)
+		}
+	}
+	return d.UsedClusters(), stores
 }
 
 // Stream produces a deterministic instruction trace.
 type Stream interface {
-	// Next fills t with the next instruction of the trace.
+	// Next fills t with the next instruction of the trace, its Live and
+	// Stores masks included.
 	Next(t *TInst)
 	// Reset restarts the trace; variant perturbs dynamic behaviour (data
 	// addresses, iteration counts) so a respawned benchmark does not replay
@@ -102,10 +117,11 @@ const (
 )
 
 // shape is one distinct instruction demand of a layout plus its encoded
-// size in bytes, a pure function of the demand.
+// size in bytes and its TInst masks, all pure functions of the demand.
 type shape struct {
-	demand isa.InstrDemand
-	size   uint32
+	demand       isa.InstrDemand
+	live, stores uint8
+	size         uint32
 }
 
 // layout is a benchmark's code image: the template bodies of its loop
@@ -325,7 +341,8 @@ func (k layoutKey) build() (*layout, error) {
 				}
 				idx = uint16(len(shapes))
 				index[d] = idx
-				shapes = append(shapes, shape{demand: d, size: size})
+				live, stores := Masks(&d)
+				shapes = append(shapes, shape{demand: d, live: live, stores: stores, size: size})
 			}
 			body = append(body, template{pc: uint32(pc), shape: idx, br: br})
 			pc += uint64(size)
@@ -513,6 +530,8 @@ func (g *Generator) step(body []template, t *TInst) {
 	t.Size = sh.size
 	t.Taken = false
 	t.IsBranch = tm.br != brNone
+	t.Live = sh.live
+	t.Stores = sh.stores
 
 	// Data addresses for the cache model.
 	for c := 0; c < g.geom.Clusters; c++ {

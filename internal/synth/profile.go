@@ -39,7 +39,7 @@ type Profile struct {
 
 	// Instruction shape.
 	MeanOps    float64 // mean RISC operations per VLIW instruction (1..16)
-	SpreadProb float64 // per-template probability of spilling onto one more cluster (0 = default 0.35)
+	SpreadProb float64 // per-template probability of spilling onto one more cluster (0 = default 0.85)
 	MemFrac    float64 // fraction of ops targeted at the LSU (capped 1/cluster)
 	MulFrac    float64 // fraction of ops targeted at multipliers (capped 2/cluster)
 	StoreFrac  float64 // of memory ops, fraction that are stores

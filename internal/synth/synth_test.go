@@ -236,3 +236,39 @@ func TestRejectsBadProfiles(t *testing.T) {
 		t.Error("mean ops beyond machine width accepted")
 	}
 }
+
+// TestGeneratorMasks checks that every instruction a catalog or vector
+// profile's generator emits, through Next and through NextN and after a
+// respawn, carries the Live and Stores masks Masks derives from its
+// demand.
+func TestGeneratorMasks(t *testing.T) {
+	g := isa.ST200x4
+	for _, p := range append(Catalog(), VectorCatalog()...) {
+		gen := MustNewGenerator(p, g)
+		buf := make([]TInst, BatchSize)
+		for variant := uint64(0); variant < 2; variant++ {
+			gen.Reset(variant)
+			for i := 0; i < 10000; i += len(buf) + 1 {
+				gen.NextN(buf)
+				gen.Next(&buf[0])
+				for j := range buf {
+					ti := &buf[j]
+					if live, stores := Masks(&ti.Demand); ti.Live != live || ti.Stores != stores {
+						t.Fatalf("%s variant %d instr %d: Live/Stores %04b/%04b, demand gives %04b/%04b",
+							p.Name, variant, i+j, ti.Live, ti.Stores, live, stores)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestMasks(t *testing.T) {
+	var d isa.InstrDemand
+	d.B[0] = isa.BundleDemand{Ops: 2, ALU: 1, Mem: 1, Stor: true}
+	d.B[2] = isa.BundleDemand{Ops: 1, ALU: 1}
+	d.B[7] = isa.BundleDemand{Ops: 1, Mem: 1, Load: true}
+	if live, stores := Masks(&d); live != 0b1000_0101 || stores != 0b1 {
+		t.Fatalf("Masks = %08b, %08b", live, stores)
+	}
+}

@@ -17,7 +17,9 @@ import (
 
 // referenceRead is the streaming VXT1 decoder trace.Decode replaced: every
 // field read through bufio and io.ReadFull, the arena grown by append. It
-// is kept as the oracle FuzzDecodeMatchesReference compares Decode with.
+// is kept as the oracle FuzzDecodeMatchesReference compares Decode with,
+// and fills each instruction's masks through synth.Masks, so the fuzzer
+// checks the decoder's Live and Stores too.
 func referenceRead(r io.Reader) (name string, clusters int, instrs []synth.TInst, err error) {
 	br := bufio.NewReader(r)
 	var m [4]byte
@@ -97,6 +99,7 @@ func referenceRead(r io.Reader) (name string, clusters int, instrs []synth.TInst
 				ti.MemAddr[c] = binary.LittleEndian.Uint64(buf[:8])
 			}
 		}
+		ti.Live, ti.Stores = synth.Masks(&ti.Demand)
 	}
 	return name, clusters, instrs, nil
 }

@@ -3,7 +3,7 @@
 // experiments exactly portable: a trace file pins the workload independent
 // of future generator changes, the same way the paper's binaries pinned
 // theirs. In memory a trace stays in its record form (Records, 35-38
-// bytes per instruction for the shipped corpus, against 144 for an
+// bytes per instruction for the shipped corpus, against 152 for an
 // expanded synth.TInst); a Replayer expands each record as it is fetched.
 //
 // Format (little-endian):
@@ -283,6 +283,12 @@ func expand(t *synth.TInst, p []byte, mask byte) int {
 		b.Load = q2&1 != 0
 		b.Stor = q2&2 != 0
 		b.Comm = q2&4 != 0
+		if b.Ops != 0 {
+			t.Live |= 1 << uint(c)
+		}
+		if b.Stor {
+			t.Stores |= 1 << uint(c)
+		}
 		n += 3
 		if b.Mem != 0 {
 			t.MemAddr[c] = binary.LittleEndian.Uint64(p[n:])

@@ -133,7 +133,7 @@ func TestReplayerSharesArena(t *testing.T) {
 
 // TestCorpusFootprint pins the memory a loaded trace keeps: its file's
 // record bytes and nothing more, at most 38 bytes per instruction for the
-// checked-in corpus, against 144 for an expanded instruction.
+// checked-in corpus, against 152 for an expanded instruction.
 func TestCorpusFootprint(t *testing.T) {
 	const dir = "../../examples/corpus"
 	traces, err := New().LoadDir(dir)
@@ -426,6 +426,38 @@ func TestLoadDirFirstErrorDeterministic(t *testing.T) {
 		_, err := New().LoadDir(dir)
 		if err == nil || !strings.HasPrefix(err.Error(), "d.vxt: ") {
 			t.Fatalf("run %d: want an error naming d.vxt, got %v", i, err)
+		}
+	}
+}
+
+// TestCorpusMasks replays every examples/corpus workload, the recorded
+// .vxt traces and the .vex program alike, once through and past the wrap,
+// by Next and by NextN, and checks that each instruction carries the Live
+// and Stores masks synth.Masks derives from its demand.
+func TestCorpusMasks(t *testing.T) {
+	traces, err := New().LoadDir("../../examples/corpus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(traces) == 0 {
+		t.Fatal("empty corpus")
+	}
+	for _, tr := range traces {
+		rep, err := tr.NewReplayer()
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]synth.TInst, synth.BatchSize)
+		for i := 0; i < tr.Len()+len(buf); i += len(buf) + 1 {
+			rep.NextN(buf)
+			rep.Next(&buf[0])
+			for j := range buf {
+				ti := &buf[j]
+				if live, stores := synth.Masks(&ti.Demand); ti.Live != live || ti.Stores != stores {
+					t.Fatalf("%s instr %d: Live/Stores %08b/%08b, demand gives %08b/%08b",
+						tr.Name, i+j, ti.Live, ti.Stores, live, stores)
+				}
+			}
 		}
 	}
 }
