@@ -437,16 +437,22 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, svc *vexsmt.S
 	if f, ok := w.(http.Flusher); ok {
 		flush = f.Flush
 	}
-	enc := json.NewEncoder(w)
+	// Each line is appended to buf (see vexsmt's wire codec) and written
+	// whole; buf is reused for the next.
+	var buf []byte
 	var werr error
-	encode := func(v any) {
+	write := func(line []byte, err error) {
 		if werr == nil {
-			if werr = enc.Encode(v); werr != nil {
+			if err == nil {
+				_, err = w.Write(line)
+			}
+			if werr = err; werr != nil {
 				cancel() // the client went away; stop simulating for it
 			}
 		}
+		buf = line[:0]
 	}
-	encode(map[string]any{"cells": total, "meta": svc.Meta()})
+	write(vexsmt.AppendAckLine(buf, &vexsmt.PlanAck{Cells: total, Meta: svc.Meta()}), nil)
 
 	tick := time.NewTicker(100 * time.Millisecond)
 	defer tick.Stop()
@@ -484,7 +490,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, svc *vexsmt.S
 		if cell.Err != "" && failed == "" {
 			failed = fmt.Sprintf("%s: %s", cell.CellSpec, cell.Err)
 		}
-		encode(cell)
+		write(vexsmt.AppendCellLine(buf, &cell))
 		unseen = true
 	}
 	retire()
@@ -495,7 +501,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, svc *vexsmt.S
 	case failed != "":
 		status = "failed"
 	}
-	encode(map[string]any{"status": status, "error": failed, "completed": completed, "cells": total})
+	write(vexsmt.AppendStatusLine(buf, &vexsmt.PlanStatus{Cells: total, Completed: completed, Error: failed, Status: status}), nil)
 }
 
 // maxRunningJobs is the floor on the admission budget, so small daemons

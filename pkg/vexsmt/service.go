@@ -2,7 +2,6 @@ package vexsmt
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -225,10 +224,10 @@ func isCtxErr(err error) bool {
 
 // fetchOrSimulate resolves one cell: cache first, simulator on a miss,
 // populating the cache on the way out. Payloads are the JSON encoding of
-// stats.Run — all-integer counters, so the round trip is exact and a
-// cached cell is bit-identical to a simulated one. A cache entry that
-// fails to decode (foreign payload behind a valid checksum) degrades to
-// a miss.
+// stats.Run (see encodeRun) — all-integer counters, so the round trip is
+// exact and a cached cell is bit-identical to a simulated one. A cache
+// entry that fails to decode (foreign payload behind a valid checksum)
+// degrades to a miss.
 func (s *Service) fetchOrSimulate(ctx context.Context, c CellSpec) (*stats.Run, bool, error) {
 	var key string
 	if s.cache != nil {
@@ -238,7 +237,7 @@ func (s *Service) fetchOrSimulate(ctx context.Context, c CellSpec) (*stats.Run, 
 		key = CacheKey(RunMeta{SchemaVersion: SchemaVersion, Seed: s.seed, Scale: s.scale}, c)
 		if b, ok := s.cache.Get(key); ok {
 			var r stats.Run
-			if err := json.Unmarshal(b, &r); err == nil {
+			if err := decodeRun(b, &r); err == nil {
 				return &r, true, nil
 			}
 		}
@@ -248,9 +247,7 @@ func (s *Service) fetchOrSimulate(ctx context.Context, c CellSpec) (*stats.Run, 
 		return nil, false, err
 	}
 	if s.cache != nil {
-		if b, err := json.Marshal(r); err == nil {
-			s.cache.Put(key, b)
-		}
+		s.cache.Put(key, encodeRun(r))
 	}
 	return r, false, nil
 }

@@ -129,19 +129,11 @@ var techniqueList = strings.Join(vexsmt.Techniques(), ",")
 // and the terminal status — with one scanner. Returning before the
 // terminal line closes the stream, which makes the daemon cancel the plan.
 func (h *HTTP) Run(ctx context.Context, job Job) (*vexsmt.ResultSet, error) {
-	submit := struct {
-		Cells []vexsmt.CellSpec `json:"cells"`
-		Scale int64             `json:"scale"`
-		Seed  uint64            `json:"seed"`
-		Cache string            `json:"cache,omitempty"`
-	}{Cells: job.Cells, Scale: job.Scale, Seed: job.Seed}
+	submit := vexsmt.PlanSubmit{Cells: job.Cells, Scale: job.Scale, Seed: job.Seed}
 	if job.CacheOff {
 		submit.Cache = "off"
 	}
-	body, err := json.Marshal(submit)
-	if err != nil {
-		return nil, err
-	}
+	body := vexsmt.AppendPlanSubmit(nil, &submit)
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+"/v1/plans", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -159,16 +151,14 @@ func (h *HTTP) Run(ctx context.Context, job Job) (*vexsmt.ResultSet, error) {
 	}
 
 	sc := newLineScanner(resp.Body)
-	var ack struct {
-		Meta vexsmt.RunMeta `json:"meta"`
-	}
+	var ack vexsmt.PlanAck
 	if !sc.Scan() {
 		err = sc.Err()
 		if err == nil {
 			err = io.ErrUnexpectedEOF
 		}
 	} else {
-		err = json.Unmarshal(sc.Bytes(), &ack)
+		ack, err = vexsmt.ParseAckLine(sc.Bytes())
 	}
 	if err != nil {
 		return nil, fmt.Errorf("shard: %s: submit response: %w", h.base, err)

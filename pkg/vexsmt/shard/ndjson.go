@@ -3,25 +3,11 @@ package shard
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"vexsmt/pkg/vexsmt"
 )
-
-// ndLine decodes one NDJSON line of a vexsmtd plan stream (the reply to
-// POST /v1/plans after its ack line), which is either a cell
-// (mix/technique/... fields) or the terminal status object. The outer
-// Status/ErrMsg fields shadow the embedded CellResult's "error" tag
-// (shallower depth wins in encoding/json), so one decode handles both
-// shapes; DecodeResultStream copies ErrMsg back into the cell for cell
-// lines.
-type ndLine struct {
-	vexsmt.CellResult
-	Status string `json:"status"`
-	ErrMsg string `json:"error"`
-}
 
 // DecodeResultStream reads a vexsmtd NDJSON results stream: zero or more
 // cell lines followed by one terminal status object. Every cell line is
@@ -33,8 +19,10 @@ type ndLine struct {
 // error; the caller decides whether that means a dead peer.
 //
 // This is the single NDJSON decoder of the distributed layer — the HTTP
-// cell backend and any other plan-stream consumer share it, so the
-// protocol is parsed in exactly one place.
+// cell backend and any other plan-stream consumer share it. The line
+// shapes themselves are defined next to the encoder the daemon writes
+// them with (vexsmt.ParseStreamLine), so the protocol lives in exactly
+// one place.
 func DecodeResultStream(r io.Reader, onCell func(vexsmt.CellResult)) (status, errMsg string, err error) {
 	return decodeResults(newLineScanner(r), onCell)
 }
@@ -56,8 +44,8 @@ func decodeResults(sc *bufio.Scanner, onCell func(vexsmt.CellResult)) (status, e
 		if len(line) == 0 {
 			continue
 		}
-		var l ndLine
-		if err := json.Unmarshal(line, &l); err != nil {
+		l, err := vexsmt.ParseStreamLine(line)
+		if err != nil {
 			// No package prefix: callers wrap with their own ("shard:
 			// <backend>: ...") and a doubled prefix reads badly.
 			return "", "", fmt.Errorf("bad stream line %q: %w", line, err)
