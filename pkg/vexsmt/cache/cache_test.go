@@ -178,6 +178,15 @@ func TestDiskConcurrentWritersAgree(t *testing.T) {
 	for w := 0; w < 8; w++ {
 		<-done
 	}
+	// Once the writers stop, a Put of new bytes is what Get returns: no
+	// payload remembered during the race outlives it.
+	for i := 0; i < 4; i++ {
+		key, want := fmt.Sprintf("%02x-shared-key", i), fmt.Sprintf("final-%d", i)
+		d.Put(key, []byte(want))
+		if got, ok := d.Get(key); !ok || string(got) != want {
+			t.Fatalf("%s after the race: ok=%v got=%q, want %q", key, ok, got, want)
+		}
+	}
 }
 
 func TestCacheSizeTracking(t *testing.T) {
@@ -293,5 +302,210 @@ func TestPeerFillNilFetchIsPlainCache(t *testing.T) {
 	}
 	if st := pf.Stats(); st.PeerHits != 0 || st.PeerMisses != 0 {
 		t.Fatalf("peer traffic without a fetch hook: %+v", st)
+	}
+}
+
+// newTestDisk opens a Disk over a fresh temp directory.
+func newTestDisk(t testing.TB) *Disk {
+	t.Helper()
+	d, err := NewDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestDiskPutReplacesVerifiedCopy: a Put drops the payload the Disk
+// verified earlier, so the next Get reads the new file. This is how a
+// payload that verified but was torn at a higher layer heals.
+func TestDiskPutReplacesVerifiedCopy(t *testing.T) {
+	d := newTestDisk(t)
+	const key = "abcdef0123456789"
+	d.Put(key, []byte("torn"))
+	if got, ok := d.Get(key); !ok || string(got) != "torn" {
+		t.Fatalf("first read: ok=%v got=%q", ok, got)
+	}
+	d.Put(key, []byte("resimulated"))
+	if got, ok := d.Get(key); !ok || string(got) != "resimulated" {
+		t.Fatalf("Get after Put: ok=%v got=%q, want the new bytes", ok, got)
+	}
+}
+
+// TestDiskServesVerifiedCopy pins the memory contract: only a verified
+// read remembers a payload; once remembered, it is served even if the
+// file is deleted or corrupted, and a fresh Disk over the directory (the
+// next process) sees the loss or detects the damage.
+func TestDiskServesVerifiedCopy(t *testing.T) {
+	for _, damage := range []string{"deleted", "corrupted"} {
+		t.Run(damage, func(t *testing.T) {
+			d := newTestDisk(t)
+			const key = "abcdef0123456789"
+			payload := []byte(`{"Cycles":777,"Ops":999}`)
+			p := filepath.Join(d.Dir(), key[:2], key[2:])
+
+			// Put alone remembers nothing: the file is the only copy.
+			d.Put(key, payload)
+			if err := os.Remove(p); err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := d.Get(key); ok {
+				t.Fatalf("unread Put served after its file was deleted: %q", got)
+			}
+
+			d.Put(key, payload)
+			if got, ok := d.Get(key); !ok || !bytes.Equal(got, payload) {
+				t.Fatalf("first read: ok=%v got=%q", ok, got)
+			}
+			switch damage {
+			case "deleted":
+				if err := os.Remove(p); err != nil {
+					t.Fatal(err)
+				}
+			case "corrupted":
+				if err := os.WriteFile(p, []byte("0\nrot"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, ok := d.Get(key)
+			if !ok || !bytes.Equal(got, payload) {
+				t.Fatalf("verified copy not served after the file was %s: ok=%v got=%q", damage, ok, got)
+			}
+			got[0] = 'X' // the served copy is the caller's own
+			if again, _ := d.Get(key); !bytes.Equal(again, payload) {
+				t.Fatalf("served copy aliased the remembered payload: %q", again)
+			}
+			if st := d.Stats(); st.Hits != 3 || st.Misses != 1 || st.Errors != 0 {
+				t.Fatalf("stats %+v, want 3 hits / 1 miss / 0 errors", st)
+			}
+
+			next, err := NewDisk(d.Dir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := next.Get(key); ok {
+				t.Fatalf("a fresh Disk served a %s file: %q", damage, got)
+			}
+			wantErrs := int64(0)
+			if damage == "corrupted" {
+				wantErrs = 1
+				if _, err := os.Stat(p); !os.IsNotExist(err) {
+					t.Fatalf("a fresh Disk kept the corrupted file: %v", err)
+				}
+			}
+			if st := next.Stats(); st.Misses != 1 || st.Errors != wantErrs {
+				t.Fatalf("fresh Disk stats %+v, want 1 miss / %d errors", st, wantErrs)
+			}
+		})
+	}
+}
+
+// TestDiskVerifiedCopiesAreBounded: with more keys than the memory holds,
+// every key still reads back its own bytes (evicted ones from the file)
+// and the memory stays at its bound.
+func TestDiskVerifiedCopiesAreBounded(t *testing.T) {
+	d := newTestDisk(t)
+	const bound = 4
+	d.verified = NewMemory(bound)
+	keys := 3 * bound
+	for i := 0; i < keys; i++ {
+		d.Put(fmt.Sprintf("%02xkey", i), []byte(fmt.Sprintf("payload-%d", i)))
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i := 0; i < keys; i++ {
+			got, ok := d.Get(fmt.Sprintf("%02xkey", i))
+			if want := fmt.Sprintf("payload-%d", i); !ok || string(got) != want {
+				t.Fatalf("pass %d key %d: ok=%v got=%q, want %q", pass, i, ok, got, want)
+			}
+		}
+	}
+	if n := d.verified.Len(); n != bound {
+		t.Fatalf("%d payloads remembered, want the bound %d", n, bound)
+	}
+	if st := d.Stats(); st.Hits != int64(2*keys) || st.Misses != 0 {
+		t.Fatalf("stats %+v, want %d hits / 0 misses", st, 2*keys)
+	}
+	if sz := d.CacheSize(); sz.Entries != int64(keys) {
+		t.Fatalf("CacheSize %+v, want %d entries (the memory copies are not counted)", sz, keys)
+	}
+}
+
+// TestDiskGetRacingPutKeepsNewBytes lands a Put between a Get's file
+// read and its memory fill: the Get may return the bytes it read, but it
+// must not remember them over the Put's, or every later Get would serve
+// the replaced payload.
+func TestDiskGetRacingPutKeepsNewBytes(t *testing.T) {
+	d := newTestDisk(t)
+	const key = "abcdef0123456789"
+	d.Put(key, []byte("old"))
+	defer func(orig func(string) ([]byte, error)) { readFile = orig }(readFile)
+	readFile = func(name string) ([]byte, error) {
+		b, err := os.ReadFile(name)
+		readFile = os.ReadFile
+		d.Put(key, []byte("new"))
+		return b, err
+	}
+	if got, ok := d.Get(key); !ok || string(got) != "old" {
+		t.Fatalf("racing Get: ok=%v got=%q, want the bytes it read", ok, got)
+	}
+	if got, ok := d.Get(key); !ok || string(got) != "new" {
+		t.Fatalf("Get after the race: ok=%v got=%q, want the Put's bytes", ok, got)
+	}
+}
+
+// benchPayload is about the size of one cell's stats.Run disk payload.
+var benchPayload = bytes.Repeat([]byte(`"Cycles":98500123,`), 36)
+
+// BenchmarkDiskGet times Disk.Get per hop: a first read (open, read,
+// verify, remember), a repeat of a verified key (memory only), and a miss.
+func BenchmarkDiskGet(b *testing.B) {
+	d := newTestDisk(b)
+	const key = "abcdef0123456789"
+	d.Put(key, benchPayload)
+	get := func(b *testing.B, key string, want bool) {
+		if _, ok := d.Get(key); ok != want {
+			b.Fatalf("Get(%q) hit=%v, want %v", key, ok, want)
+		}
+	}
+	b.Run("first", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			d.verified.drop(key) // forget the last read: every Get opens the file
+			get(b, key, true)
+		}
+	})
+	b.Run("repeat", func(b *testing.B) {
+		get(b, key, true)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			get(b, key, true)
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			get(b, "0000absent", false)
+		}
+	})
+}
+
+// BenchmarkDiskPut times one Put: checksum, temp file, write, rename.
+func BenchmarkDiskPut(b *testing.B) {
+	d := newTestDisk(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d.Put("abcdef0123456789", benchPayload)
+	}
+}
+
+// BenchmarkMemoryGet times a Memory hit (lock, LRU refresh, copy).
+func BenchmarkMemoryGet(b *testing.B) {
+	m := NewMemory(0)
+	m.Put("abcdef0123456789", benchPayload)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, ok := m.Get("abcdef0123456789"); !ok {
+			b.Fatal("miss")
+		}
 	}
 }

@@ -27,6 +27,21 @@ import (
 // so concurrent processes sharing a directory never observe a torn
 // entry. The cache is therefore safe to share between any number of
 // daemons and CLIs at once.
+//
+// A Disk verifies each entry once per process. The first Get of a key
+// reads and checks its file and keeps a copy of the verified payload in
+// a bounded in-memory LRU (the default Memory capacity); later Gets of
+// that key return a copy of it without touching the file or re-hashing.
+// That is sound because entries are content-addressed: a cell's result
+// is a pure function of its key, so bytes verified once stay correct for
+// the life of the process. The consequence is that a file corrupted or
+// deleted after this process verified it is still served, correctly,
+// from memory; the next process (or the next Disk over the directory)
+// to read it detects the damage and removes the file. Put never fills
+// the memory copy — it drops it, so the next Get re-reads and re-verifies
+// the new file. A payload that verified but was wrong at a higher layer
+// (a torn write that still carried a matching checksum) therefore heals
+// as soon as the caller re-simulates and Puts the cell again.
 type Disk struct {
 	dir string
 	// entries/bytes approximate the store's footprint: seeded by a scan at
@@ -34,6 +49,11 @@ type Disk struct {
 	// Other processes sharing the directory drift the numbers — they are a
 	// sizing signal for placement/eviction decisions, not accounting.
 	entries, bytes atomic.Int64
+	// verified holds the payloads this process has read back and checked;
+	// gen counts completed Puts, so a Get whose file read raced a Put does
+	// not store bytes that Put has already replaced (see Get).
+	verified *Memory
+	gen      atomic.Uint64
 	counters
 }
 
@@ -49,7 +69,7 @@ func NewDisk(dir string) (*Disk, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: %w", err)
 	}
-	d := &Disk{dir: dir}
+	d := &Disk{dir: dir, verified: NewMemory(0)}
 	d.scanSize()
 	return d, nil
 }
@@ -80,10 +100,16 @@ func (d *Disk) path(key string) string {
 	return filepath.Join(d.dir, key[:2], key[2:])
 }
 
-// Get implements vexsmt.CellCache: read, verify the self-checksum, and
-// degrade every failure to a miss.
+// Get implements vexsmt.CellCache: serve a payload this process has
+// already verified from memory; otherwise read, verify the self-checksum,
+// remember the payload, and degrade every failure to a miss.
 func (d *Disk) Get(key string) ([]byte, bool) {
-	b, err := os.ReadFile(d.path(key))
+	if b, ok := d.verified.Get(key); ok {
+		d.hits.Add(1)
+		return b, true
+	}
+	gen := d.gen.Load()
+	b, err := readFile(d.path(key))
 	if err != nil {
 		d.misses.Add(1)
 		return nil, false
@@ -100,8 +126,16 @@ func (d *Disk) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	d.hits.Add(1)
+	// Remember the payload only if no Put completed since the read began:
+	// Put bumps gen before it drops the key, and the check runs under the
+	// memory's lock, so bytes a Put replaced are never stored after it.
+	d.verified.putIf(key, payload, func() bool { return d.gen.Load() == gen })
 	return payload, true
 }
+
+// readFile is os.ReadFile; a test swaps it to land a Put between a Get's
+// file read and its memory fill.
+var readFile = os.ReadFile
 
 // corrupt records a failed verification and removes the bad entry so the
 // next Put rewrites it cleanly.
@@ -150,6 +184,8 @@ func (d *Disk) Put(key string, value []byte) {
 		d.errs.Add(1)
 		return
 	}
+	d.gen.Add(1)
+	d.verified.drop(key)
 	newSize := int64(len(value)) + sha256.Size*2 + 1 // checksum line + payload
 	if oldSize < 0 {
 		d.entries.Add(1)

@@ -63,24 +63,54 @@ func (m *Memory) Put(key string, value []byte) {
 	cp := append([]byte(nil), value...)
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.store(key, cp)
+	m.puts.Add(1)
+}
+
+// putIf stores a copy of value under key if valid() holds while the
+// lock is held, so a caller can order the store against a concurrent
+// drop (see Disk.Get). It touches no counter.
+func (m *Memory) putIf(key string, value []byte, valid func() bool) {
+	cp := append([]byte(nil), value...)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if valid() {
+		m.store(key, cp)
+	}
+}
+
+// store inserts or replaces key's entry with val, which it takes over,
+// and evicts beyond the capacity. m.mu must be held.
+func (m *Memory) store(key string, val []byte) {
 	if el, ok := m.idx[key]; ok {
 		e := el.Value.(*memEntry)
-		m.bytes += int64(len(cp)) - int64(len(e.val))
-		e.val = cp
+		m.bytes += int64(len(val)) - int64(len(e.val))
+		e.val = val
 		m.ll.MoveToFront(el)
-		m.puts.Add(1)
 		return
 	}
-	m.idx[key] = m.ll.PushFront(&memEntry{key: key, val: cp})
-	m.bytes += int64(len(cp))
+	m.idx[key] = m.ll.PushFront(&memEntry{key: key, val: val})
+	m.bytes += int64(len(val))
 	for m.ll.Len() > m.max {
-		oldest := m.ll.Back()
-		m.ll.Remove(oldest)
-		e := oldest.Value.(*memEntry)
-		m.bytes -= int64(len(e.val))
-		delete(m.idx, e.key)
+		m.remove(m.ll.Back())
 	}
-	m.puts.Add(1)
+}
+
+// drop removes key's entry, if any. It touches no counter.
+func (m *Memory) drop(key string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if el, ok := m.idx[key]; ok {
+		m.remove(el)
+	}
+}
+
+// remove unlinks one entry. m.mu must be held.
+func (m *Memory) remove(el *list.Element) {
+	m.ll.Remove(el)
+	e := el.Value.(*memEntry)
+	m.bytes -= int64(len(e.val))
+	delete(m.idx, e.key)
 }
 
 // Stats implements vexsmt.CellCache.

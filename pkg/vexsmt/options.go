@@ -91,7 +91,7 @@ func Techniques() []string {
 // (Figure 13(b)) in presentation order.
 func Mixes() []string {
 	names := make([]string, 0, 9)
-	for _, m := range mixTable() {
+	for _, m := range paperMixes {
 		names = append(names, m.Label)
 	}
 	return names

@@ -109,9 +109,9 @@ func canonPredictor(name string) (string, error) {
 	return internalPredictor(canon), nil
 }
 
-// mixTable returns the paper's nine mixes (internal type; used by
-// planning, series assembly and the Mixes accessor).
-func mixTable() []workload.Mix { return workload.Figure13b() }
+// paperMixes is the paper's nine mixes (internal type), copied once for
+// planning, series assembly and the Mixes accessor. Never modify it.
+var paperMixes = workload.Figure13b()
 
 // paperThreads are the machine sizes every grid figure, sweep and trace
 // workload is evaluated at: the paper's 2- and 4-thread machines.
@@ -157,7 +157,7 @@ func gridCells(techs []core.Technique) []CellSpec {
 	var out []CellSpec
 	for _, threads := range paperThreads {
 		for _, t := range techs {
-			for _, mix := range mixTable() {
+			for _, mix := range paperMixes {
 				out = append(out, CellSpec{Mix: mix.Label, Technique: t.Name(), Threads: threads})
 			}
 		}

@@ -67,7 +67,7 @@ func figure13bTable() string {
 	b.WriteString(fmt.Sprintf("%-6s %-12s %-12s %-12s %-12s\n",
 		"mix", "thread 0", "thread 1", "thread 2", "thread 3"))
 	b.WriteString(strings.Repeat("-", 58) + "\n")
-	for _, m := range mixTable() {
+	for _, m := range paperMixes {
 		b.WriteString(fmt.Sprintf("%-6s %-12s %-12s %-12s %-12s\n",
 			m.Label, m.Benchmarks[0], m.Benchmarks[1], m.Benchmarks[2], m.Benchmarks[3]))
 	}

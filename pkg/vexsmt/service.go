@@ -523,7 +523,7 @@ func (s *Service) speedups(ctx context.Context, tech, baseline core.Technique, t
 		Technique: tech.Name(), Baseline: baseline.Name(), Threads: threads,
 	}
 	var sum float64
-	for _, mix := range mixTable() {
+	for _, mix := range paperMixes {
 		rt, _, err := s.run(ctx, CellSpec{Mix: mix.Label, Technique: tech.Name(), Threads: threads})
 		if err != nil {
 			return fs, err
@@ -552,7 +552,7 @@ func (s *Service) Figure16(ctx context.Context) ([]IPCPoint, error) {
 	for _, threads := range paperThreads {
 		for _, tech := range figureTechniques("16") {
 			var sum float64
-			for _, mix := range mixTable() {
+			for _, mix := range paperMixes {
 				r, _, err := s.run(ctx, CellSpec{Mix: mix.Label, Technique: tech.Name(), Threads: threads})
 				if err != nil {
 					return nil, err
@@ -560,7 +560,7 @@ func (s *Service) Figure16(ctx context.Context) ([]IPCPoint, error) {
 				sum += r.IPC()
 			}
 			out = append(out, IPCPoint{Technique: tech.Name(), Threads: threads,
-				IPC: sum / float64(len(mixTable()))})
+				IPC: sum / float64(len(paperMixes))})
 		}
 	}
 	return out, nil

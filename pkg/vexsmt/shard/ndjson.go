@@ -28,11 +28,11 @@ func DecodeResultStream(r io.Reader, onCell func(vexsmt.CellResult)) (status, er
 }
 
 // newLineScanner returns the scanner every NDJSON stream is read with. Its
-// buffer starts small — a one-cell stream is under a kilobyte — and grows
-// to the 1 MiB line cap only for lines that need it.
+// buffer starts at 1 KiB — a one-cell stream's longest line is about
+// 700 bytes — and grows to the 1 MiB line cap only for lines that need it.
 func newLineScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 4<<10), 1<<20)
+	sc.Buffer(make([]byte, 0, 1<<10), 1<<20)
 	return sc
 }
 
