@@ -343,6 +343,9 @@ func BenchmarkAblationClusters(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Micro-benchmarks of the substrates.
 
+// BenchmarkEngineCycle times one engine cycle of four x264 threads through
+// the calls the simulator's run loop makes: LoadFrom with the instruction's
+// Live mask, then CycleMask into a reused CycleResult.
 func BenchmarkEngineCycle(b *testing.B) {
 	for _, tech := range []core.Technique{core.CSMT(), core.CCSI(core.CommAlwaysSplit), core.SMT(), core.OOSI(core.CommAlwaysSplit)} {
 		b.Run(tech.Name(), func(b *testing.B) {
@@ -358,19 +361,17 @@ func BenchmarkEngineCycle(b *testing.B) {
 				gens[t] = synth.MustNewGenerator(p, isa.ST200x4)
 			}
 			var ti synth.TInst
-			var ready [core.MaxThreads]bool
-			for t := 0; t < 4; t++ {
-				ready[t] = true
-			}
+			var res core.CycleResult
+			const ready = 1<<4 - 1
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for t := 0; t < 4; t++ {
 					if !eng.Active(t) {
 						gens[t].Next(&ti)
-						eng.Load(t, ti.Demand)
+						eng.LoadFrom(t, &ti.Demand, ti.Live, 0)
 					}
 				}
-				eng.Cycle(&ready)
+				eng.CycleMask(ready, &res)
 			}
 		})
 	}

@@ -206,7 +206,7 @@ func (e *Engine) Load(t int, d isa.InstrDemand) {
 // renamed clusters. d is read, never retained.
 //
 // Only live bundles are written. The rest of remaining[t] is already zero:
-// Flush zeroes it, and an instruction retires only once every live bundle
+// NewEngine zeroes it, and an instruction retires only once every live bundle
 // has issued, which leaves each at zero demand (Ops = ALU+Mul+Mem).
 func (e *Engine) LoadFrom(t int, d *isa.InstrDemand, live uint8, by int) {
 	bit := uint8(1) << uint(t)
@@ -235,19 +235,6 @@ func (e *Engine) LoadFrom(t int, d *isa.InstrDemand, live uint8, by int) {
 		renamed |= 1 << uint(r)
 	}
 	e.live[t] = renamed
-}
-
-// Flush abandons thread t's in-flight instruction (context switch between
-// timeslices; the scheduler only switches at instruction boundaries, but
-// Flush also covers squashes after taken branches in the fetch model).
-func (e *Engine) Flush(t int) {
-	bit := uint8(1) << uint(t)
-	e.active &^= bit
-	e.started &^= bit
-	e.kind[t] = 0
-	e.live[t] = 0
-	e.storeBuf[t] = 0
-	e.remaining[t] = [isa.MaxClusters]isa.BundleDemand{}
 }
 
 // Cycle assembles one execution packet. ready[t] gates which threads may

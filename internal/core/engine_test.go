@@ -33,18 +33,6 @@ func TestLoadPanicsOnBusyThread(t *testing.T) {
 	eng.Load(0, instr(alu(1)))
 }
 
-func TestFlushClearsState(t *testing.T) {
-	eng, _ := NewEngine(isa.ST200x4, CCSI(CommNoSplit), 2)
-	eng.Load(0, instr(alu(1), alu(1)))
-	if !eng.Active(0) {
-		t.Fatal("thread not active after Load")
-	}
-	eng.Flush(0)
-	if eng.Active(0) || eng.Started(0) {
-		t.Fatal("thread active after Flush")
-	}
-}
-
 func TestSingleThreadAllTechniquesIdentical(t *testing.T) {
 	// With one thread there is nothing to merge with, so all techniques
 	// must produce identical cycle counts on the same instruction stream.

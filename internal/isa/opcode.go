@@ -158,9 +158,6 @@ func IsBranch(o Opcode) bool { return ClassOf(o) == ClassBranch }
 // IsComm reports whether the opcode is an inter-cluster copy.
 func IsComm(o Opcode) bool { return ClassOf(o) == ClassComm }
 
-// IsMem reports whether the opcode accesses memory.
-func IsMem(o Opcode) bool { return ClassOf(o) == ClassMem }
-
 // WritesGPR reports whether the opcode writes a general-purpose register.
 func WritesGPR(o Opcode) bool {
 	switch o {

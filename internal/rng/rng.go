@@ -105,19 +105,6 @@ func (r *Rand) Pick(weights []float64) int {
 	return len(weights) - 1
 }
 
-// Geometric returns a sample from a geometric distribution with success
-// probability p (support {0, 1, 2, ...}). For p outside (0, 1] it returns 0.
-func (r *Rand) Geometric(p float64) int {
-	if p <= 0 || p >= 1 {
-		return 0
-	}
-	n := 0
-	for !r.Bool(p) && n < 1<<20 {
-		n++
-	}
-	return n
-}
-
 // Split returns a new independent generator derived from this one's stream.
 // Streams from Split are statistically independent of the parent's future
 // output because SplitMix64's output function decorrelates nearby states.

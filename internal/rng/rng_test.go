@@ -145,21 +145,6 @@ func TestPickWeighted(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	r := New(12)
-	const p = 0.25
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += float64(r.Geometric(p))
-	}
-	mean := sum / n
-	want := (1 - p) / p // mean of geometric on {0,1,...}
-	if math.Abs(mean-want) > 0.1 {
-		t.Fatalf("geometric mean = %v, want ~%v", mean, want)
-	}
-}
-
 func TestSplitIndependence(t *testing.T) {
 	parent := New(99)
 	child := parent.Split()

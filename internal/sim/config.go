@@ -13,7 +13,6 @@ import (
 	"vexsmt/internal/cache"
 	"vexsmt/internal/core"
 	"vexsmt/internal/isa"
-	"vexsmt/internal/regfile"
 )
 
 // Mode selects the multithreading execution mode. The paper evaluates
@@ -43,12 +42,18 @@ func (m Mode) String() string {
 }
 
 // Config is a full machine + experiment configuration.
+//
+// The register file is always partitioned: each thread has its own
+// register file per cluster, each with W write ports. Section V-C rules
+// out the shared organization for split-issue, because the last parts of
+// several threads may commit their delay buffers in the same cycle and
+// shared ports limit the number of simultaneous writes. The timing model
+// charges no register-file port conflicts, so there is nothing to select.
 type Config struct {
 	Geom            isa.Geometry
 	Threads         int            // hardware thread contexts
 	Tech            core.Technique // merging/split-issue technique
 	Mode            Mode
-	RFOrg           regfile.Org
 	ClusterRenaming bool
 
 	ICache        cache.Config
@@ -113,7 +118,6 @@ func DefaultConfig(tech core.Technique, threads int) Config {
 		Threads:            threads,
 		Tech:               tech,
 		Mode:               ModeSimultaneous,
-		RFOrg:              regfile.Partitioned,
 		ClusterRenaming:    true,
 		ICache:             cache.Paper64KB4Way,
 		DCache:             cache.Paper64KB4Way,
@@ -139,8 +143,7 @@ func (c Config) WithScale(div int64) Config {
 	return c
 }
 
-// Validate checks configuration consistency, including the paper's
-// shared-RF/split-issue incompatibility.
+// Validate checks configuration consistency.
 func (c Config) Validate() error {
 	if err := c.Geom.Validate(); err != nil {
 		return err
@@ -150,9 +153,6 @@ func (c Config) Validate() error {
 	}
 	if c.Threads <= 0 || c.Threads > core.MaxThreads {
 		return fmt.Errorf("sim: thread count %d out of range", c.Threads)
-	}
-	if err := regfile.CheckSplitCompat(c.RFOrg, c.Tech.Split != core.SplitNone); err != nil {
-		return err
 	}
 	if !c.PerfectMemory {
 		if err := c.ICache.Validate(); err != nil {

@@ -6,7 +6,6 @@ import (
 	"vexsmt/internal/bpred"
 	"vexsmt/internal/cache"
 	"vexsmt/internal/core"
-	"vexsmt/internal/rng"
 	"vexsmt/internal/stats"
 	"vexsmt/internal/synth"
 )
@@ -69,7 +68,6 @@ type Simulator struct {
 	dc   *cache.Cache
 	jobs []*Job
 	ctxs []ctx
-	r    *rng.Rand
 	run  stats.Run
 
 	// preds holds one predictor per hardware context, or nil when the
@@ -115,7 +113,6 @@ func New(cfg Config, jobs []*Job) (*Simulator, error) {
 		cfg:     cfg,
 		eng:     eng,
 		jobs:    jobs,
-		r:       rng.New(cfg.Seed),
 		waiting: make([]*Job, 0, len(jobs)),
 	}
 	if !cfg.PerfectMemory {

@@ -6,7 +6,6 @@ import (
 
 	"vexsmt/internal/cache"
 	"vexsmt/internal/core"
-	"vexsmt/internal/regfile"
 	"vexsmt/internal/synth"
 	"vexsmt/internal/workload"
 )
@@ -61,17 +60,6 @@ func TestConfigValidation(t *testing.T) {
 	bad.LimitInstrs = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("zero instruction limit accepted")
-	}
-	// Paper Section V-C: shared RF forbids split-issue.
-	bad = testConfig(core.CCSI(core.CommNoSplit), 4)
-	bad.RFOrg = regfile.Shared
-	if err := bad.Validate(); err == nil {
-		t.Error("shared RF accepted with split-issue")
-	}
-	okShared := testConfig(core.SMT(), 4)
-	okShared.RFOrg = regfile.Shared
-	if err := okShared.Validate(); err != nil {
-		t.Errorf("shared RF rejected without split-issue: %v", err)
 	}
 }
 

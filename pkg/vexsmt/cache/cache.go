@@ -1,7 +1,7 @@
 // Package cache provides the content-addressed result cache behind
 // repeated experiment sweeps: vexsmt.CellCache implementations (an
-// in-memory LRU and an on-disk store) plus the key derivation. A cell's
-// result is addressed by Key — a canonical digest over the results schema
+// in-memory LRU and an on-disk store). A cell's result is addressed by
+// vexsmt.CacheKey — a canonical digest over the results schema
 // version, base seed, scale and cell identity — so any two runs agreeing
 // on those inputs share entries across processes, machines and time.
 //
@@ -29,15 +29,6 @@ var (
 	_ vexsmt.CellCache = (*Memory)(nil)
 	_ vexsmt.CellCache = (*Disk)(nil)
 )
-
-// Key returns the content address of one cell's result under one run's
-// metadata. It is vexsmt.CacheKey re-exported so the cache package is
-// self-contained for callers assembling keys by hand; see that function
-// for exactly which fields participate (and which — parallelism,
-// technique sets, shard placement — deliberately do not).
-func Key(meta vexsmt.RunMeta, spec vexsmt.CellSpec) string {
-	return vexsmt.CacheKey(meta, spec)
-}
 
 // ValidateMode checks a -cache flag value without side effects — for
 // paths (like a remote vexsmtctl run) that must validate the flag but

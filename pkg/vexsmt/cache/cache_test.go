@@ -13,21 +13,21 @@ import (
 func TestKeyCanonicalAndSensitive(t *testing.T) {
 	meta := vexsmt.RunMeta{SchemaVersion: vexsmt.SchemaVersion, Seed: 1, Scale: 100, Parallelism: 8, Techniques: "SMT,CSMT"}
 	spec := vexsmt.CellSpec{Mix: "mmhh", Technique: "CCSI AS", Threads: 4}
-	base := Key(meta, spec)
-	if base != Key(meta, spec) {
-		t.Fatal("Key is not deterministic")
+	base := vexsmt.CacheKey(meta, spec)
+	if base != vexsmt.CacheKey(meta, spec) {
+		t.Fatal("CacheKey is not deterministic")
 	}
 	if len(base) != 64 {
 		t.Fatalf("key %q is not a sha256 hex digest", base)
 	}
 	// Result-determining inputs must each move the key.
 	for name, k := range map[string]string{
-		"seed":      Key(vexsmt.RunMeta{SchemaVersion: meta.SchemaVersion, Seed: 2, Scale: 100}, spec),
-		"scale":     Key(vexsmt.RunMeta{SchemaVersion: meta.SchemaVersion, Seed: 1, Scale: 200}, spec),
-		"schema":    Key(vexsmt.RunMeta{SchemaVersion: meta.SchemaVersion + 1, Seed: 1, Scale: 100}, spec),
-		"mix":       Key(meta, vexsmt.CellSpec{Mix: "llll", Technique: spec.Technique, Threads: 4}),
-		"technique": Key(meta, vexsmt.CellSpec{Mix: spec.Mix, Technique: "SMT", Threads: 4}),
-		"threads":   Key(meta, vexsmt.CellSpec{Mix: spec.Mix, Technique: spec.Technique, Threads: 2}),
+		"seed":      vexsmt.CacheKey(vexsmt.RunMeta{SchemaVersion: meta.SchemaVersion, Seed: 2, Scale: 100}, spec),
+		"scale":     vexsmt.CacheKey(vexsmt.RunMeta{SchemaVersion: meta.SchemaVersion, Seed: 1, Scale: 200}, spec),
+		"schema":    vexsmt.CacheKey(vexsmt.RunMeta{SchemaVersion: meta.SchemaVersion + 1, Seed: 1, Scale: 100}, spec),
+		"mix":       vexsmt.CacheKey(meta, vexsmt.CellSpec{Mix: "llll", Technique: spec.Technique, Threads: 4}),
+		"technique": vexsmt.CacheKey(meta, vexsmt.CellSpec{Mix: spec.Mix, Technique: "SMT", Threads: 4}),
+		"threads":   vexsmt.CacheKey(meta, vexsmt.CellSpec{Mix: spec.Mix, Technique: spec.Technique, Threads: 2}),
 	} {
 		if k == base {
 			t.Errorf("changing %s did not change the key", name)
@@ -37,7 +37,7 @@ func TestKeyCanonicalAndSensitive(t *testing.T) {
 	insensitive := meta
 	insensitive.Parallelism = 1
 	insensitive.Techniques = "SMT"
-	if Key(insensitive, spec) != base {
+	if vexsmt.CacheKey(insensitive, spec) != base {
 		t.Error("parallelism/technique-set moved the key; cross-run sharing broken")
 	}
 }
@@ -86,7 +86,7 @@ func TestDiskRoundTripAndSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := Key(vexsmt.RunMeta{SchemaVersion: 1, Seed: 1, Scale: 100},
+	key := vexsmt.CacheKey(vexsmt.RunMeta{SchemaVersion: 1, Seed: 1, Scale: 100},
 		vexsmt.CellSpec{Mix: "mmhh", Technique: "SMT", Threads: 2})
 	payload := []byte(`{"Cycles":12345}`)
 	d.Put(key, payload)

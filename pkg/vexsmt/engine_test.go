@@ -151,6 +151,38 @@ func TestPlanFiguresRejectsUnknown(t *testing.T) {
 	}
 }
 
+func TestPlanCellsMatchesPlanSizeAndOrder(t *testing.T) {
+	svc := testService(t)
+	plan := Plan{Figures: []string{"14", "15", "16"}}
+	cells, err := svc.PlanCells(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := svc.PlanSize(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != n {
+		t.Fatalf("PlanCells %d vs PlanSize %d", len(cells), n)
+	}
+	seen := make(map[CellSpec]bool, len(cells))
+	for _, c := range cells {
+		if seen[c] {
+			t.Fatalf("duplicate cell %+v in PlanCells", c)
+		}
+		seen[c] = true
+	}
+	again, err := svc.PlanCells(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cells {
+		if cells[i] != again[i] {
+			t.Fatal("PlanCells order is not deterministic")
+		}
+	}
+}
+
 func TestCellSeedsPairedAndStable(t *testing.T) {
 	cells, err := testService(t).PlanCells(Plan{Figures: []string{"16"}})
 	if err != nil {

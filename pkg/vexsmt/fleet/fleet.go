@@ -141,9 +141,6 @@ func NewRegistry(opts ...RegistryOption) *Registry {
 // TTL returns the registration lease.
 func (r *Registry) TTL() time.Duration { return r.ttl }
 
-// HeartbeatInterval returns the cadence members are asked to beat at.
-func (r *Registry) HeartbeatInterval() time.Duration { return r.interval }
-
 // Upsert registers m or refreshes its lease and stats, returning the
 // live member list (m included) so heartbeats double as the peer
 // discovery channel. FirstSeen survives refreshes; LastSeen is stamped

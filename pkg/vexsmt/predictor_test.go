@@ -176,37 +176,6 @@ func TestSortPredictorTiebreak(t *testing.T) {
 	}
 }
 
-func TestMergeDistinguishesPredictorCells(t *testing.T) {
-	svc := testService(t)
-	cell := CellSpec{Mix: "llll", Technique: "SMT", Threads: 2}
-	static, err := svc.Collect(context.Background(), Plan{Cells: []CellSpec{cell}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cell.Predictor = "bimodal"
-	modeled, err := svc.Collect(context.Background(), Plan{Cells: []CellSpec{cell}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Same (mix, technique, threads) under two predictors: distinct cells,
-	// not a conflict.
-	merged, err := static.Merge(modeled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged.Cells) != 2 {
-		t.Fatalf("merged %d cells, want 2", len(merged.Cells))
-	}
-	// A genuine conflict on a modeled cell names the predictor.
-	conflicting := &ResultSet{Meta: modeled.Meta, Cells: append([]CellResult(nil), modeled.Cells...)}
-	conflicting.Cells[0].IPC++
-	if _, err := modeled.Merge(conflicting); err == nil {
-		t.Fatal("conflicting modeled duplicates accepted")
-	} else if !strings.Contains(err.Error(), "bimodal") {
-		t.Fatalf("conflict error does not name the predictor: %v", err)
-	}
-}
-
 func TestCacheKeyPredictorAddressing(t *testing.T) {
 	meta := RunMeta{SchemaVersion: SchemaVersion, Seed: 1, Scale: 100}
 	spec := CellSpec{Mix: "llll", Technique: "SMT", Threads: 2}

@@ -86,8 +86,8 @@ func countersFromRun(r *stats.Run) Counters {
 // Cached is a transport-level hint — the result was recalled from a
 // content-addressed cache rather than simulated — and is not part of the
 // result's identity: cached and simulated results are bit-identical by
-// contract, so Canonicalize and Merge clear the flag before results are
-// compared, deduplicated or exported.
+// contract, so Canonicalize clears the flag before results are compared
+// or exported.
 type CellResult struct {
 	CellSpec
 	Seed     uint64   `json:"seed"`
@@ -111,9 +111,9 @@ func SpeedupPct(tech, base CellResult) float64 {
 // reproduction triple (seed, scale, parallelism). Seed and scale pin the
 // exact bits; parallelism is informational only — it never changes results.
 // Techniques is the comma-joined technique list of the producing service
-// (Techniques(), Figure 16 order), so a merger can refuse to combine
-// decoded results from a build that disagrees about what the grid even
-// is. It is kept a single string so RunMeta stays comparable.
+// (Techniques(), Figure 16 order), so a shard coordinator can refuse a
+// daemon from a build that disagrees about what the grid even is. It is
+// kept a single string so RunMeta stays comparable.
 type RunMeta struct {
 	SchemaVersion int    `json:"schema_version"`
 	Seed          uint64 `json:"seed"`
@@ -153,61 +153,6 @@ func (rs *ResultSet) Canonicalize() {
 		rs.Cells[i].Cached = false
 	}
 	rs.Sort()
-}
-
-// Merge combines rs and others into a new canonical ResultSet without
-// mutating its inputs. Sets must agree on schema version, seed, scale and
-// technique set — a merge across any of those is a merge across different
-// experiments, and is rejected. A cell appearing in more than one set is
-// deduplicated when the copies are bit-identical and is a conflict error
-// otherwise: per-cell seeds make equal cells inevitable, so a mismatch
-// means one producer is broken. The merged set is Canonicalized, so
-// merging disjoint shards of a plan yields exactly the bytes a
-// single-process Collect of that plan canonicalizes to.
-func (rs *ResultSet) Merge(others ...*ResultSet) (*ResultSet, error) {
-	merged := &ResultSet{Meta: rs.Meta}
-	seen := make(map[CellSpec]CellResult, len(rs.Cells))
-	add := func(set *ResultSet) error {
-		if set.Meta.SchemaVersion != rs.Meta.SchemaVersion {
-			return fmt.Errorf("vexsmt: merge: schema version %d vs %d",
-				set.Meta.SchemaVersion, rs.Meta.SchemaVersion)
-		}
-		if set.Meta.Seed != rs.Meta.Seed {
-			return fmt.Errorf("vexsmt: merge: seed %d vs %d", set.Meta.Seed, rs.Meta.Seed)
-		}
-		if set.Meta.Scale != rs.Meta.Scale {
-			return fmt.Errorf("vexsmt: merge: scale 1/%d vs 1/%d", set.Meta.Scale, rs.Meta.Scale)
-		}
-		if set.Meta.Techniques != rs.Meta.Techniques {
-			return fmt.Errorf("vexsmt: merge: technique set %q vs %q",
-				set.Meta.Techniques, rs.Meta.Techniques)
-		}
-		for _, c := range set.Cells {
-			// The Cached hint is transport metadata, not result identity: a
-			// cell recalled from cache on one backend and simulated on
-			// another must deduplicate, not conflict.
-			c.Cached = false
-			if prev, ok := seen[c.CellSpec]; ok {
-				if prev != c {
-					return fmt.Errorf("vexsmt: merge: conflicting duplicates of cell %s", c.CellSpec)
-				}
-				continue
-			}
-			seen[c.CellSpec] = c
-			merged.Cells = append(merged.Cells, c)
-		}
-		return nil
-	}
-	if err := add(rs); err != nil {
-		return nil, err
-	}
-	for _, set := range others {
-		if err := add(set); err != nil {
-			return nil, err
-		}
-	}
-	merged.Canonicalize()
-	return merged, nil
 }
 
 // EncodeResults writes rs as schema-versioned JSON. The stored schema

@@ -20,6 +20,18 @@ func testService(t *testing.T, opts ...Option) *Service {
 	return svc
 }
 
+// encodeCanonical returns rs's canonical encoding without mutating it.
+func encodeCanonical(t *testing.T, rs *ResultSet) string {
+	t.Helper()
+	cp := &ResultSet{Meta: rs.Meta, Cells: append([]CellResult(nil), rs.Cells...)}
+	cp.Canonicalize()
+	var buf bytes.Buffer
+	if err := EncodeResults(&buf, cp); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
 func TestSchemaRoundTrip(t *testing.T) {
 	svc := testService(t)
 	rs, err := svc.Collect(context.Background(), Plan{Cells: []CellSpec{
