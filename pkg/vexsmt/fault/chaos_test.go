@@ -1,6 +1,6 @@
-// Chaos property suite: full sweeps under heavy injected fault
-// schedules must produce byte-identical results to clean runs — the
-// determinism contract has to survive chaos, not just the happy path.
+// Chaos suite: fault schedules are reproducible and degraded peer fills
+// never stall a sweep. Full sweeps under chaos are rows of
+// pkg/vexsmt's TestByteIdentityMatrix.
 package fault_test
 
 import (
@@ -16,55 +16,9 @@ import (
 	"testing"
 	"time"
 
-	"vexsmt/pkg/vexsmt"
-	"vexsmt/pkg/vexsmt/cache"
 	"vexsmt/pkg/vexsmt/fault"
 	"vexsmt/pkg/vexsmt/fleet"
-	"vexsmt/pkg/vexsmt/resilience"
-	"vexsmt/pkg/vexsmt/server"
-	"vexsmt/pkg/vexsmt/shard"
 )
-
-// chaosScale keeps simulation-backed chaos runs fast; every assertion
-// is bit-identity, never statistical.
-const chaosScale = 50000
-
-var chaosGrid = vexsmt.Plan{Figures: []string{"16"}}
-
-// encodeCanonical returns rs's canonical encoding without mutating it.
-func encodeCanonical(t *testing.T, rs *vexsmt.ResultSet) string {
-	t.Helper()
-	cp := &vexsmt.ResultSet{Meta: rs.Meta, Cells: append([]vexsmt.CellResult(nil), rs.Cells...)}
-	cp.Canonicalize()
-	var buf bytes.Buffer
-	if err := vexsmt.EncodeResults(&buf, cp); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
-}
-
-func cleanBaseline(t *testing.T) string {
-	t.Helper()
-	svc, err := vexsmt.New(vexsmt.WithScale(chaosScale), vexsmt.WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := svc.Collect(context.Background(), chaosGrid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return encodeCanonical(t, rs)
-}
-
-// fastPolicy is the chaos-test retry policy: the default shape with
-// backoffs squeezed to keep wall clock down.
-func fastPolicy(seed uint64) resilience.Policy {
-	p := resilience.Default()
-	p.Seed = seed
-	p.BaseBackoff = time.Millisecond
-	p.MaxBackoff = 4 * time.Millisecond
-	return p
-}
 
 // quickChaos is Heavy with its soft delays squeezed, so the schedule
 // stays aggressive without idling the test.
@@ -73,127 +27,6 @@ func quickChaos() fault.Profile {
 	p.RequestDelay = time.Millisecond
 	p.PeerFillDelay = time.Millisecond
 	return p
-}
-
-// TestChaosSweepByteIdentical is the tentpole property: a two-daemon
-// sweep with heavy transport faults on the coordinator side and cache
-// faults inside each daemon produces byte-identical merged results to
-// the clean single-process run, with zero lost cells. Retries (8, so 9
-// attempts) strictly exceed the worst-case hard-fault count a cell can
-// absorb — the per-identity budget (2) times its two identities (its
-// stream-form submit to each of two backends) — and local fallback is
-// armed so even a fully faulted placement round degrades to an
-// identical local run rather than failing.
-func TestChaosSweepByteIdentical(t *testing.T) {
-	want := cleanBaseline(t)
-	inj := fault.New(42, quickChaos())
-
-	daemon := func(seed uint64) *httptest.Server {
-		dinj := fault.New(seed, quickChaos())
-		faulty := fault.NewCache(dinj, cache.NewMemory(4096))
-		return httptest.NewServer(server.New(chaosScale, 1, 4, server.WithCache(faulty)).Handler())
-	}
-	a := daemon(7)
-	defer a.Close()
-	b := daemon(8)
-	defer b.Close()
-
-	client := fault.Client(inj, nil)
-	var backends []shard.Backend
-	for _, u := range []string{a.URL, b.URL} {
-		be, err := shard.NewHTTP(u, shard.WithClient(client))
-		if err != nil {
-			t.Fatal(err)
-		}
-		backends = append(backends, be)
-	}
-	coord, err := shard.New(shard.Config{
-		Scale:         chaosScale,
-		Seed:          1,
-		Retries:       8,
-		Policy:        fastPolicy(42),
-		LocalFallback: true,
-		Logf:          t.Logf,
-	}, backends...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := coord.Collect(context.Background(), chaosGrid)
-	if err != nil {
-		t.Fatalf("chaos sweep failed (%d faults had fired): %v", inj.Fired(), err)
-	}
-	if got := encodeCanonical(t, rs); got != want {
-		t.Fatalf("chaos sweep output differs from the clean run (%d faults fired)", inj.Fired())
-	}
-	t.Logf("chaos sweep byte-identical; %d transport fault(s) fired", inj.Fired())
-}
-
-// TestChaosWarmRerunByteIdentical re-collects through the same faulty
-// daemons: the second pass is served from their (still fault-wrapped)
-// caches, and injected corruption must degrade to re-simulation, never
-// to different bytes.
-func TestChaosWarmRerunByteIdentical(t *testing.T) {
-	want := cleanBaseline(t)
-	dinj := fault.New(9, quickChaos())
-	faulty := fault.NewCache(dinj, cache.NewMemory(4096))
-	srv := httptest.NewServer(server.New(chaosScale, 1, 4, server.WithCache(faulty)).Handler())
-	defer srv.Close()
-
-	be, err := shard.NewHTTP(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coord, err := shard.New(shard.Config{Scale: chaosScale, Seed: 1, Policy: fastPolicy(9)}, be)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pass := 1; pass <= 2; pass++ {
-		rs, err := coord.Collect(context.Background(), chaosGrid)
-		if err != nil {
-			t.Fatalf("pass %d: %v", pass, err)
-		}
-		if got := encodeCanonical(t, rs); got != want {
-			t.Fatalf("pass %d differs from the clean run (%d cache faults fired)", pass, dinj.Fired())
-		}
-	}
-	if dinj.Fired() == 0 {
-		t.Fatal("heavy cache profile fired nothing over two grid passes")
-	}
-}
-
-// TestLocalFallbackByteIdentical: with every backend dead, a
-// LocalFallback coordinator degrades to in-process execution and still
-// produces the clean run's bytes.
-func TestLocalFallbackByteIdentical(t *testing.T) {
-	want := cleanBaseline(t)
-	be, err := shard.NewHTTP("http://127.0.0.1:9") // discard port: refuses instantly
-	if err != nil {
-		t.Fatal(err)
-	}
-	var degraded bool
-	coord, err := shard.New(shard.Config{
-		Scale:         chaosScale,
-		Seed:          1,
-		LocalFallback: true,
-		Logf: func(format string, args ...any) {
-			if strings.Contains(fmt.Sprintf(format, args...), "falling back to local execution") {
-				degraded = true
-			}
-		},
-	}, be)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := coord.Collect(context.Background(), chaosGrid)
-	if err != nil {
-		t.Fatalf("fallback run failed: %v", err)
-	}
-	if !degraded {
-		t.Fatal("coordinator never reported the local fallback")
-	}
-	if got := encodeCanonical(t, rs); got != want {
-		t.Fatal("local fallback output differs from the clean run")
-	}
 }
 
 // stubRT answers every request with a fixed 200 body without dialing,

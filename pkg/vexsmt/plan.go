@@ -165,18 +165,37 @@ func gridCells(techs []core.Technique) []CellSpec {
 	return out
 }
 
-// planFigures validates a Plan's figure names and expands "all" exactly
-// as ParseFigures does: every name is checked before "all" is honored.
-func planFigures(names []string) ([]string, error) {
-	for _, f := range names {
-		if f != "all" && !slices.Contains(AllFigures(), f) {
-			return nil, fmt.Errorf("vexsmt: unknown figure %q (have %s, all)", f, strings.Join(AllFigures(), ", "))
+// distinct maps each distinct name through canon and returns the
+// distinct results in first-seen order. A plan may repeat a name any
+// number of times, so every axis is deduplicated before it is crossed:
+// resolve's work is bounded by the vocabulary, not by the request.
+func distinct(names []string, canon func(string) (string, error)) ([]string, error) {
+	var out []string
+	seenName := make(map[string]bool)
+	seenCanon := make(map[string]bool)
+	for _, n := range names {
+		if seenName[n] {
+			continue
+		}
+		seenName[n] = true
+		c, err := canon(n)
+		if err != nil {
+			return nil, err
+		}
+		if !seenCanon[c] {
+			seenCanon[c] = true
+			out = append(out, c)
 		}
 	}
-	if slices.Contains(names, "all") {
-		return AllFigures(), nil
+	return out, nil
+}
+
+// planFigure validates one of a Plan's figure names ("all" included).
+func planFigure(f string) (string, error) {
+	if f != "all" && !slices.Contains(AllFigures(), f) {
+		return "", fmt.Errorf("vexsmt: unknown figure %q (have %s, all)", f, strings.Join(AllFigures(), ", "))
 	}
-	return names, nil
+	return f, nil
 }
 
 // resolve turns a public Plan into its deduplicated canonical cells in
@@ -184,10 +203,15 @@ func planFigures(names []string) ([]string, error) {
 // Predictors axis (predictor-major, so one model's full grid streams
 // before the next begins and paired comparisons complete early);
 // explicit Cells carry their own Predictor and are never crossed.
+// Figure names are validated exactly as ParseFigures does: every name is
+// checked before "all" is honored.
 func (s *Service) resolve(p Plan) ([]CellSpec, error) {
-	figs, err := planFigures(p.Figures)
+	figs, err := distinct(p.Figures, planFigure)
 	if err != nil {
 		return nil, err
+	}
+	if slices.Contains(figs, "all") {
+		figs = AllFigures()
 	}
 	var grid []CellSpec
 	for _, f := range figs {
@@ -196,19 +220,19 @@ func (s *Service) resolve(p Plan) ([]CellSpec, error) {
 	if p.Sweep {
 		grid = append(grid, gridCells(core.AllTechniques())...)
 	}
-	preds := p.Predictors
-	if len(preds) == 0 {
-		preds = []string{bpred.Default}
-	}
 	// Resolve workload names to full content references up front, so a
 	// bad name fails the whole plan before anything simulates.
-	wlRefs := make([]string, 0, len(p.Workloads))
-	for _, w := range p.Workloads {
-		ref, err := s.workloadRef(w)
-		if err != nil {
-			return nil, err
-		}
-		wlRefs = append(wlRefs, ref)
+	wlRefs, err := distinct(p.Workloads, s.workloadRef)
+	if err != nil {
+		return nil, err
+	}
+	names := p.Predictors
+	if len(names) == 0 {
+		names = []string{bpred.Default}
+	}
+	preds, err := distinct(names, canonPredictor)
+	if err != nil {
+		return nil, err
 	}
 	var cells []CellSpec
 	seen := make(map[CellSpec]bool)
@@ -218,11 +242,7 @@ func (s *Service) resolve(p Plan) ([]CellSpec, error) {
 			cells = append(cells, c)
 		}
 	}
-	for _, name := range preds {
-		pred, err := canonPredictor(name)
-		if err != nil {
-			return nil, err
-		}
+	for _, pred := range preds {
 		for _, c := range grid {
 			c.Predictor = pred
 			add(c)

@@ -119,8 +119,7 @@ type Options struct {
 	// Backoff, when non-nil, returns the wait a backend observes after
 	// its n-th consecutive failure before pulling the next item —
 	// typically resilience.Policy.Backoff, which adds deterministic
-	// jitter. Nil selects the historical default (250ms doubling, 2s
-	// cap, no jitter).
+	// jitter. Nil means no wait: the backend pulls its next item at once.
 	Backoff func(backend string, n int) time.Duration
 	// BreakerThreshold is how many consecutive transient failures take a
 	// backend out of rotation while another backend stays live. Values
@@ -503,9 +502,9 @@ func (st *state[T, R]) worker(ctx context.Context, bi int, b Backend[T, R]) {
 		st.mu.Lock()
 		n := st.consec[bi]
 		st.mu.Unlock()
-		if n > 0 {
+		if n > 0 && st.opts.Backoff != nil {
 			select {
-			case <-time.After(st.backoffFor(b.Name(), n)):
+			case <-time.After(st.opts.Backoff(b.Name(), n)):
 			case <-ctx.Done():
 				return
 			}
@@ -519,29 +518,4 @@ func (st *state[T, R]) breaker() int {
 		return st.opts.BreakerThreshold
 	}
 	return maxConsecutiveFailures
-}
-
-// backoffFor returns the post-failure wait, from Options.Backoff when
-// set and the package default otherwise.
-func (st *state[T, R]) backoffFor(backend string, n int) time.Duration {
-	if st.opts.Backoff != nil {
-		return st.opts.Backoff(backend, n)
-	}
-	return failureBackoff(n)
-}
-
-// failureBackoff is the default wait after the n-th consecutive
-// failure: 250ms doubling, capped at 2s — the same shape
-// resilience.Default() describes, without the jitter.
-func failureBackoff(n int) time.Duration {
-	d := 250 * time.Millisecond
-	// Shift with an overflow guard: a last-backend-standing can fail many
-	// more times than any reasonable shift width.
-	for i := 1; i < n && d < 2*time.Second; i++ {
-		d <<= 1
-	}
-	if d > 2*time.Second {
-		d = 2 * time.Second
-	}
-	return d
 }

@@ -173,6 +173,56 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestRepeatedNamePlanAnsweredPromptly: a plan body near the 1 MiB limit
+// that repeats one figure and one predictor tens of thousands of times
+// resolves before admission at the cost of its distinct names, so the
+// daemon acks it (or refuses it) at once instead of crossing every copy
+// with every other.
+func TestRepeatedNamePlanAnsweredPromptly(t *testing.T) {
+	ts := testServer()
+	defer ts.Close()
+	repeated := func(name string, n int) string {
+		return strings.TrimSuffix(strings.Repeat(`"`+name+`",`, n), ",")
+	}
+	body := `{"figures":[` + repeated("16", 90000) + `],"predictors":[` + repeated("tage", 70000) + `]}`
+	if len(body) < 900<<10 || len(body) > 1<<20 {
+		t.Fatalf("body is %d bytes, want just under 1 MiB", len(body))
+	}
+	for _, tc := range []struct {
+		name string
+		body string
+		code int
+	}{
+		{"valid", body, http.StatusOK},
+		{"bad predictor last", strings.Replace(body, `"tage"]`, `"bogus"]`, 1), http.StatusBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel() // hang up once answered: the plan is not needed
+			start := time.Now()
+			resp := postStream(t, ctx, ts.URL, tc.body)
+			defer resp.Body.Close()
+			if resp.StatusCode != tc.code {
+				msg, _ := io.ReadAll(resp.Body)
+				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.code, msg)
+			}
+			if tc.code == http.StatusOK {
+				line, err := bufio.NewReader(resp.Body).ReadBytes('\n')
+				if err != nil {
+					t.Fatal(err)
+				}
+				var a ack
+				if err := json.Unmarshal(line, &a); err != nil || a.Cells != 144 {
+					t.Fatalf("ack %q (%v), want 144 cells", line, err)
+				}
+			}
+			if d := time.Since(start); d > 5*time.Second {
+				t.Fatalf("answered after %s", d)
+			}
+		})
+	}
+}
+
 func TestSeedZeroOverrideHonored(t *testing.T) {
 	ts := testServer()
 	defer ts.Close()

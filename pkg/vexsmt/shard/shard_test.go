@@ -32,11 +32,9 @@ const testScale = 20000
 // size the paper's Figures 14–16 evaluate.
 var fullGrid = vexsmt.Plan{Figures: []string{"14", "15", "16"}}
 
-func testService(t *testing.T) *vexsmt.Service { return testServiceAt(t, testScale) }
-
-func testServiceAt(t *testing.T, scale int64, opts ...vexsmt.Option) *vexsmt.Service {
+func testService(t *testing.T) *vexsmt.Service {
 	t.Helper()
-	svc, err := vexsmt.New(append([]vexsmt.Option{vexsmt.WithScale(scale)}, opts...)...)
+	svc, err := vexsmt.New(vexsmt.WithScale(testScale))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,76 +60,6 @@ func collectBaseline(t *testing.T, svc *vexsmt.Service, plan vexsmt.Plan) string
 		t.Fatal(err)
 	}
 	return encodeCanonical(t, rs)
-}
-
-// TestCoordinatorMatchesCollectLocal is the in-process half of the
-// cell-scheduling determinism property: for several backend counts, a
-// coordinated run over in-process backends is bit-identical to a single
-// Service.Collect of the full figure grid. All backends wrap the baseline
-// service, so the whole test simulates the grid exactly once.
-func TestCoordinatorMatchesCollectLocal(t *testing.T) {
-	svc := testService(t)
-	want := collectBaseline(t, svc, fullGrid)
-	for _, k := range []int{1, 2, 3} {
-		var backends []shard.Backend
-		for i := 0; i < k; i++ {
-			backends = append(backends, shard.NewLocal("local-"+string(rune('a'+i)), svc))
-		}
-		var last shard.Progress
-		coord, err := shard.New(shard.Config{
-			Scale:      testScale,
-			Seed:       svc.Seed(),
-			OnProgress: func(p shard.Progress) { last = p },
-		}, backends...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := coord.Collect(context.Background(), fullGrid)
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		if got := encodeCanonical(t, rs); got != want {
-			t.Fatalf("k=%d: coordinated result differs from Service.Collect", k)
-		}
-		if last.CellsDone != last.CellsTotal || last.Retries != 0 {
-			t.Fatalf("k=%d: final progress %+v", k, last)
-		}
-	}
-}
-
-// TestCoordinatorMatchesCollectHTTP is the remote half of the property:
-// the same grid coordinated cell-by-cell across two real vexsmtd servers
-// (httptest) over the /v1 plan/results protocol stays bit-identical to
-// the single-process run.
-func TestCoordinatorMatchesCollectHTTP(t *testing.T) {
-	// Every cell is a fresh daemon-side service (no cross-plan
-	// memoization), so this test runs at a finer scale than the in-process
-	// one to stay cheap.
-	const httpScale = 50000
-	want := collectBaseline(t, testServiceAt(t, httpScale), fullGrid)
-	a := httptest.NewServer(server.New(httpScale, 1, 4).Handler())
-	defer a.Close()
-	b := httptest.NewServer(server.New(httpScale, 1, 4).Handler())
-	defer b.Close()
-	var last shard.Progress
-	coord, err := shard.New(shard.Config{
-		Scale:      httpScale,
-		Seed:       1,
-		OnProgress: func(p shard.Progress) { last = p },
-	}, httpBackends(t, a.URL, b.URL)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := coord.Collect(context.Background(), fullGrid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := encodeCanonical(t, rs); got != want {
-		t.Fatal("coordinated HTTP result differs from Service.Collect")
-	}
-	if last.CellsDone != 144 || last.CellsTotal != 144 {
-		t.Fatalf("final progress %+v", last)
-	}
 }
 
 func httpBackends(t *testing.T, urls ...string) []shard.Backend {
@@ -539,133 +467,5 @@ func TestLocalBackendRejectsForeignJob(t *testing.T) {
 	}
 	if _, err := l.Run(context.Background(), shard.Job{Cells: cells, Scale: 1, Seed: svc.Seed()}); err == nil {
 		t.Fatal("foreign scale accepted")
-	}
-}
-
-// TestCoordinatorPredictorSweepMatchesCollect is the distributed half of
-// the predictor-axis property: a static-vs-bimodal sweep of Figure 14
-// coordinated over in-process and real HTTP backends must merge to
-// exactly the bytes a single-process Collect of the same plan produces —
-// the predictor axis adds cells, never nondeterminism.
-func TestCoordinatorPredictorSweepMatchesCollect(t *testing.T) {
-	sweep := vexsmt.Plan{Figures: []string{"14"}, Predictors: []string{"static", "bimodal"}}
-	svc := testService(t)
-	want := collectBaseline(t, svc, sweep)
-
-	t.Run("local", func(t *testing.T) {
-		coord, err := shard.New(shard.Config{Scale: testScale, Seed: svc.Seed()},
-			shard.NewLocal("a", svc), shard.NewLocal("b", svc))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := coord.Collect(context.Background(), sweep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := encodeCanonical(t, rs); got != want {
-			t.Fatal("coordinated predictor sweep differs from Service.Collect")
-		}
-		// Both models actually ran: half the cells carry the modeled name.
-		var modeled int
-		for _, c := range rs.Cells {
-			if c.Predictor == "bimodal" {
-				modeled++
-			}
-		}
-		if modeled == 0 || modeled != len(rs.Cells)/2 {
-			t.Fatalf("%d of %d cells are bimodal, want an even split", modeled, len(rs.Cells))
-		}
-	})
-
-	t.Run("http", func(t *testing.T) {
-		a := httptest.NewServer(server.New(testScale, 1, 4).Handler())
-		defer a.Close()
-		b := httptest.NewServer(server.New(testScale, 1, 4).Handler())
-		defer b.Close()
-		coord, err := shard.New(shard.Config{Scale: testScale, Seed: 1},
-			httpBackends(t, a.URL, b.URL)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rs, err := coord.Collect(context.Background(), sweep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := encodeCanonical(t, rs); got != want {
-			t.Fatal("two-daemon predictor sweep differs from Service.Collect")
-		}
-	})
-}
-
-// TestWarmCacheCoordinatedCollect is the distributed half of the cache
-// property (the single-process half lives in pkg/vexsmt): over K ∈ {1,3}
-// backends sharing one on-disk cache directory, a warm coordinated
-// Collect of the full figure grid is byte-identical to the cold run and
-// to the uncached single-process baseline, performs zero simulator runs,
-// and reports every cell as a cache hit.
-func TestWarmCacheCoordinatedCollect(t *testing.T) {
-	baseline := collectBaseline(t, testService(t), fullGrid)
-	for _, k := range []int{1, 3} {
-		k := k
-		t.Run(map[int]string{1: "K=1", 3: "K=3"}[k], func(t *testing.T) {
-			dir := t.TempDir()
-			newBackends := func() ([]shard.Backend, []*vexsmt.Service) {
-				var bs []shard.Backend
-				var svcs []*vexsmt.Service
-				for i := 0; i < k; i++ {
-					d, err := cache.NewDisk(dir)
-					if err != nil {
-						t.Fatal(err)
-					}
-					svc := testServiceAt(t, testScale, vexsmt.WithCache(d))
-					svcs = append(svcs, svc)
-					bs = append(bs, shard.NewLocal("cached-"+string(rune('a'+i)), svc))
-				}
-				return bs, svcs
-			}
-			run := func() (string, shard.Progress, []*vexsmt.Service) {
-				bs, svcs := newBackends()
-				var last shard.Progress
-				coord, err := shard.New(shard.Config{
-					Scale:      testScale,
-					Seed:       1,
-					OnProgress: func(p shard.Progress) { last = p },
-				}, bs...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rs, err := coord.Collect(context.Background(), fullGrid)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return encodeCanonical(t, rs), last, svcs
-			}
-
-			cold, coldProg, _ := run()
-			if cold != baseline {
-				t.Fatal("cold cached run differs from uncached baseline")
-			}
-			if coldProg.CacheHits != 0 {
-				// Backends share the directory, so a cell simulated on one
-				// backend could in principle be read back by another — but
-				// the scheduler runs each cell exactly once.
-				t.Fatalf("cold run reported cache hits: %+v", coldProg)
-			}
-
-			warm, warmProg, svcs := run()
-			if warm != baseline {
-				t.Fatal("warm cached run is not byte-identical to the cold run")
-			}
-			if warmProg.CacheHits != 144 || warmProg.CacheMisses != 0 {
-				t.Fatalf("warm run progress %+v, want 144 hits / 0 misses", warmProg)
-			}
-			var sims int64
-			for _, svc := range svcs {
-				sims += svc.SimulationsRun()
-			}
-			if sims != 0 {
-				t.Fatalf("warm run performed %d simulator runs, want 0", sims)
-			}
-		})
 	}
 }

@@ -7,46 +7,6 @@ import (
 	"time"
 )
 
-func TestStreamMatchesSerialCollect(t *testing.T) {
-	// The determinism contract at the public boundary: a parallel stream
-	// delivers cell-for-cell exactly what a serial Collect produces,
-	// regardless of completion order.
-	plan := Plan{Figures: []string{"14"}}
-	ctx := context.Background()
-
-	serial, err := testService(t, WithParallelism(1)).Collect(ctx, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make(map[CellSpec]CellResult, len(serial.Cells))
-	for _, c := range serial.Cells {
-		want[CellSpec{Mix: c.Mix, Technique: c.Technique, Threads: c.Threads, Predictor: c.Predictor}] = c
-	}
-
-	ch, err := testService(t, WithParallelism(8)).Stream(ctx, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for cell := range ch {
-		if cell.Err != "" {
-			t.Fatalf("%s/%s/%dT: %s", cell.Mix, cell.Technique, cell.Threads, cell.Err)
-		}
-		n++
-		w, ok := want[CellSpec{Mix: cell.Mix, Technique: cell.Technique, Threads: cell.Threads, Predictor: cell.Predictor}]
-		if !ok {
-			t.Fatalf("stream delivered unplanned cell %s/%s/%dT", cell.Mix, cell.Technique, cell.Threads)
-		}
-		if cell != w {
-			t.Errorf("%s/%s/%dT: streamed cell differs from serial:\nserial:   %+v\nstreamed: %+v",
-				cell.Mix, cell.Technique, cell.Threads, w, cell)
-		}
-	}
-	if n != len(serial.Cells) {
-		t.Fatalf("streamed %d cells, want %d", n, len(serial.Cells))
-	}
-}
-
 func TestStreamCancellationPromptNoLeak(t *testing.T) {
 	// Cancelling mid-grid must close the stream well before the grid could
 	// finish, and every worker goroutine must unwind. Scale 50 makes each

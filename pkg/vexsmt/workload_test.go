@@ -1,7 +1,6 @@
 package vexsmt
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -19,8 +18,9 @@ import (
 
 // This file tests the trace-workload experiment axis: corpus loading, name
 // and reference resolution, plan crossing, the mix/workload exclusivity
-// rule, byte-identity across execution strategies, and cache addressing
-// (including that the epoch bump orphans every pre-workload entry).
+// rule, and cache addressing (including that the epoch bump orphans every
+// pre-workload entry). Byte-identity of trace cells across execution
+// paths is the corpus column of TestByteIdentityMatrix.
 
 // writeTestCorpus records the named synthetic profiles as .vxt traces in a
 // fresh directory — the same files tracegen -record would produce.
@@ -177,56 +177,7 @@ func TestWorkloadAxisCrossesGrid(t *testing.T) {
 	}
 }
 
-// TestWorkloadCellsByteIdentical is the determinism contract on the replay
-// path: the same trace-backed plan produces byte-identical canonical JSON
-// whether simulated serially, in parallel, or recalled from a result
-// cache — the distributed modes (shards, daemons, peer fill) are built on
-// exactly these three equivalences.
-func TestWorkloadCellsByteIdentical(t *testing.T) {
-	dir := writeTestCorpus(t, "idct", "mcf")
-	// Two techniques of the workload grid keep the sweep small.
-	var plan Plan
-	for _, w := range []string{"idct", "mcf"} {
-		for _, tech := range []string{"SMT", "CCSI AS"} {
-			for _, threads := range []int{2, 4} {
-				plan.Cells = append(plan.Cells, CellSpec{Workload: w, Technique: tech, Threads: threads})
-			}
-		}
-	}
-
-	collect := func(svc *Service) string {
-		t.Helper()
-		rs, err := svc.Collect(context.Background(), plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return encodeCanonical(t, rs)
-	}
-
-	serial := collect(workloadService(t, dir, WithParallelism(1)))
-	parallel := collect(workloadService(t, dir, WithParallelism(4)))
-	if serial != parallel {
-		t.Fatalf("parallel replay diverged from serial:\n%s\nvs\n%s", serial, parallel)
-	}
-
-	// Cached recall: the second sweep runs zero simulations and returns the
-	// same bytes the first one stored.
-	cached := workloadService(t, dir, WithCache(newMapCache()))
-	first := collect(cached)
-	if n := cached.SimulationsRun(); n == 0 {
-		t.Fatal("cold sweep simulated nothing")
-	}
-	warm := workloadService(t, dir, WithCache(cached.cache))
-	second := collect(warm)
-	if n := warm.SimulationsRun(); n != 0 {
-		t.Fatalf("warm sweep ran %d simulations, want 0", n)
-	}
-	if first != second || first != serial {
-		t.Fatal("cached replay not byte-identical to simulation")
-	}
-}
-
-// newMapCache is a minimal in-memory CellCache for identity tests. It is
+// newMapCache is a minimal in-memory CellCache for tests. It is
 // safe for concurrent use, as a Service's workers share their cache.
 type mapCache struct {
 	mu    sync.Mutex
