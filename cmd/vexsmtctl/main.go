@@ -49,7 +49,7 @@ import (
 	"vexsmt/pkg/vexsmt/cache"
 	"vexsmt/pkg/vexsmt/fault"
 	"vexsmt/pkg/vexsmt/fleet"
-	"vexsmt/pkg/vexsmt/resilience"
+	"vexsmt/pkg/vexsmt/server"
 	"vexsmt/pkg/vexsmt/shard"
 )
 
@@ -126,9 +126,7 @@ func run(args []string) error {
 		*scale = 1000
 	}
 	// Chaos wiring is strictly opt-in: with the profile off no client is
-	// wrapped and the fault layer costs zero. The chaos seed also feeds
-	// the retry policy's deterministic jitter, so a reproduced failure
-	// replays its timing too.
+	// wrapped and the fault layer costs zero.
 	chaos, err := fault.ParseProfile(*chaosProfile)
 	if err != nil {
 		return err
@@ -249,8 +247,6 @@ func run(args []string) error {
 			CacheOff:      *cacheOn == "off",
 			LocalFallback: *localFallback,
 		}
-		cfg.Policy = resilience.Default()
-		cfg.Policy.Seed = *chaosSeed
 		if *retries <= 0 {
 			cfg.Retries = -1 // Config treats 0 as "default"; the flag means "disable"
 		}
@@ -351,7 +347,7 @@ func runCoordinator(ctx context.Context, addr string, ttl time.Duration) error {
 		return err
 	}
 	fmt.Printf("vexsmtctl coordinator listening on %s (lease %s, heartbeat %s)\n", ln.Addr(), ttl, interval)
-	hs := newHTTPServer(mux)
+	hs := server.NewHTTPServer(mux)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {
@@ -362,16 +358,6 @@ func runCoordinator(ctx context.Context, addr string, ttl time.Duration) error {
 	shctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	return hs.Shutdown(shctx)
-}
-
-// newHTTPServer wraps h in the coordinator's http.Server. A client gets
-// resilience.Default's attempt budget to finish its request headers and
-// to hold an idle keep-alive connection; there is deliberately no write
-// timeout, because an NDJSON results stream stays open as long as its
-// plan runs.
-func newHTTPServer(h http.Handler) *http.Server {
-	budget := resilience.Default().AttemptTimeout
-	return &http.Server{Handler: h, ReadHeaderTimeout: budget, IdleTimeout: budget}
 }
 
 // printFleetStatus renders the registry's member table.

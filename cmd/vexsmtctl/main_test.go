@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bufio"
+	"context"
 	"io"
 	"net"
-	"net/http"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -92,24 +94,47 @@ func TestFleetFlagValidation(t *testing.T) {
 }
 
 // TestSlowHeaderConnectionClosed: a client that sends half a request
-// header and stalls is disconnected once the header budget runs out,
-// instead of holding a connection and its goroutine forever.
+// header to the fleet coordinator and stalls is disconnected once the
+// header budget runs out, instead of holding a connection and its
+// goroutine forever.
 func TestSlowHeaderConnectionClosed(t *testing.T) {
-	hs := newHTTPServer(http.NotFoundHandler())
-	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 || hs.WriteTimeout != 0 {
-		t.Fatalf("timeouts: header %s, idle %s, write %s", hs.ReadHeaderTimeout, hs.IdleTimeout, hs.WriteTimeout)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	pr, pw, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	go hs.Serve(ln)
-	defer hs.Close()
+	stdout := os.Stdout
+	os.Stdout = pw
+	defer func() { os.Stdout = stdout }()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errc := make(chan error, 1)
+	go func() {
+		errc <- runCoordinator(ctx, "127.0.0.1:0", time.Second)
+		pw.Close()
+	}()
+	addrc := make(chan string, 1)
+	go func() {
+		sc := bufio.NewScanner(pr)
+		for sc.Scan() {
+			if rest, ok := strings.CutPrefix(sc.Text(), "vexsmtctl coordinator listening on "); ok {
+				addrc <- strings.Fields(rest)[0]
+			}
+		}
+	}()
+	var addr string
+	select {
+	case addr = <-addrc:
+	case err := <-errc:
+		t.Fatalf("coordinator returned before listening: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("no listening line within 10s")
+	}
 
 	// The server may accept, and start its header clock, before Dial
 	// returns here, so the client clock starts before the dial.
 	start := time.Now()
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,12 +143,22 @@ func TestSlowHeaderConnectionClosed(t *testing.T) {
 	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: localhost\r\n"); err != nil {
 		t.Fatal(err)
 	}
-	bound := hs.ReadHeaderTimeout + 2*time.Second
-	conn.SetReadDeadline(start.Add(bound))
+	const budget = 5 * time.Second
+	conn.SetReadDeadline(start.Add(budget + 2*time.Second))
 	if _, err := io.Copy(io.Discard, conn); err != nil {
 		t.Fatalf("connection still open after %s: %v", time.Since(start), err)
 	}
-	if elapsed := time.Since(start); elapsed < hs.ReadHeaderTimeout {
-		t.Fatalf("connection closed after %s, before the %s header budget", elapsed, hs.ReadHeaderTimeout)
+	if elapsed := time.Since(start); elapsed < budget {
+		t.Fatalf("connection closed after %s, before the %s header budget", elapsed, budget)
+	}
+
+	cancel()
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("coordinator shutdown: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("coordinator did not return within 10s of cancellation")
 	}
 }

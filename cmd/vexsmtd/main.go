@@ -41,7 +41,6 @@ import (
 	"vexsmt/pkg/vexsmt/cache"
 	"vexsmt/pkg/vexsmt/fault"
 	"vexsmt/pkg/vexsmt/fleet"
-	"vexsmt/pkg/vexsmt/resilience"
 	"vexsmt/pkg/vexsmt/server"
 )
 
@@ -50,16 +49,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vexsmtd:", err)
 		os.Exit(1)
 	}
-}
-
-// newHTTPServer wraps h in the daemon's http.Server. A client gets
-// resilience.Default's attempt budget to finish its request headers and
-// to hold an idle keep-alive connection; there is deliberately no write
-// timeout, because an NDJSON results stream stays open as long as its
-// plan runs.
-func newHTTPServer(h http.Handler) *http.Server {
-	budget := resilience.Default().AttemptTimeout
-	return &http.Server{Handler: h, ReadHeaderTimeout: budget, IdleTimeout: budget}
 }
 
 func run(args []string) error {
@@ -113,7 +102,7 @@ func run(args []string) error {
 		}
 		fmt.Printf("vexsmtd pprof on http://%s/debug/pprof/\n", pln.Addr())
 		go func() {
-			if err := newHTTPServer(mux).Serve(pln); err != nil {
+			if err := server.NewHTTPServer(mux).Serve(pln); err != nil {
 				fmt.Fprintln(os.Stderr, "vexsmtd: pprof server:", err)
 			}
 		}()
@@ -219,7 +208,7 @@ func run(args []string) error {
 		srvOpts = append(srvOpts, server.WithWorkloads(*wlDir))
 	}
 	srv = server.New(*scale, *seed, *parallel, srvOpts...)
-	hs := newHTTPServer(srv.Handler())
+	hs := server.NewHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	if hb != nil {

@@ -48,79 +48,11 @@ func TestStartupFailures(t *testing.T) {
 	}
 }
 
-// TestSlowHeaderConnectionClosed: a client that sends half a request
-// header and stalls is disconnected once the header budget runs out,
-// instead of holding a connection and its goroutine forever.
-func TestSlowHeaderConnectionClosed(t *testing.T) {
-	hs := newHTTPServer(http.NotFoundHandler())
-	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 || hs.WriteTimeout != 0 {
-		t.Fatalf("timeouts: header %s, idle %s, write %s", hs.ReadHeaderTimeout, hs.IdleTimeout, hs.WriteTimeout)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go hs.Serve(ln)
-	defer hs.Close()
-
-	// The server may accept, and start its header clock, before Dial
-	// returns here, so the client clock starts before the dial.
-	start := time.Now()
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// No blank line: the header never ends.
-	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: localhost\r\n"); err != nil {
-		t.Fatal(err)
-	}
-	bound := hs.ReadHeaderTimeout + 2*time.Second
-	conn.SetReadDeadline(start.Add(bound))
-	if _, err := io.Copy(io.Discard, conn); err != nil {
-		t.Fatalf("connection still open after %s: %v", time.Since(start), err)
-	}
-	if elapsed := time.Since(start); elapsed < hs.ReadHeaderTimeout {
-		t.Fatalf("connection closed after %s, before the %s header budget", elapsed, hs.ReadHeaderTimeout)
-	}
-}
-
 // TestSignalShutdownEndsStreams drives a served daemon through a real
 // SIGTERM: the open plan stream ends with a terminal "cancelled" line,
 // and run returns nil within the drain time.
 func TestSignalShutdownEndsStreams(t *testing.T) {
-	pr, pw, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stdout := os.Stdout
-	os.Stdout = pw
-	defer func() { os.Stdout = stdout }()
-
-	errc := make(chan error, 1)
-	go func() {
-		errc <- run([]string{"-addr", "127.0.0.1:0", "-cache", "off", "-scale", "50", "-drain", "10s"})
-		pw.Close()
-	}()
-	// run registers its signal handler before it prints the listening
-	// line; the reader drains the pipe to its end so run never blocks.
-	addrc := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(pr)
-		for sc.Scan() {
-			if rest, ok := strings.CutPrefix(sc.Text(), "vexsmtd listening on "); ok {
-				addrc <- strings.Fields(rest)[0]
-			}
-		}
-	}()
-	var addr string
-	select {
-	case addr = <-addrc:
-	case err := <-errc:
-		t.Fatalf("run returned before listening: %v", err)
-	case <-time.After(10 * time.Second):
-		t.Fatal("no listening line within 10s")
-	}
+	addr, errc := startDaemon(t)
 
 	resp, err := http.Post("http://"+addr+"/v1/plans", "application/json", strings.NewReader(`{"figures":["14"]}`))
 	if err != nil {
@@ -135,13 +67,7 @@ func TestSignalShutdownEndsStreams(t *testing.T) {
 		t.Fatalf("no ack line: %v", err)
 	}
 
-	self, err := os.FindProcess(os.Getpid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := self.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
+	sigterm(t)
 
 	rest := make(chan string, 1)
 	go func() {
@@ -167,5 +93,97 @@ func TestSignalShutdownEndsStreams(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("run did not return within the 10s drain")
+	}
+}
+
+// TestSlowHeaderConnectionClosed: a client that sends half a request
+// header to the daemon's API listener and stalls is disconnected once
+// the header budget runs out, instead of holding a connection and its
+// goroutine forever.
+func TestSlowHeaderConnectionClosed(t *testing.T) {
+	addr, errc := startDaemon(t)
+
+	// The server may accept, and start its header clock, before Dial
+	// returns here, so the client clock starts before the dial.
+	start := time.Now()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// No blank line: the header never ends.
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: localhost\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	const budget = 5 * time.Second
+	conn.SetReadDeadline(start.Add(budget + 2*time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("connection still open after %s: %v", time.Since(start), err)
+	}
+	if elapsed := time.Since(start); elapsed < budget {
+		t.Fatalf("connection closed after %s, before the %s header budget", elapsed, budget)
+	}
+
+	sigterm(t)
+	select {
+	case err := <-errc:
+		if err != nil {
+			t.Fatalf("run after SIGTERM: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run did not return within the 10s drain")
+	}
+}
+
+// startDaemon runs the daemon on a kernel-picked port with the cache
+// off and returns the address scraped from its listening line, plus the
+// channel run's result arrives on. Stdout is redirected for the test.
+func startDaemon(t *testing.T) (string, <-chan error) {
+	t.Helper()
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = pw
+	t.Cleanup(func() { os.Stdout = stdout })
+
+	errc := make(chan error, 1)
+	go func() {
+		errc <- run([]string{"-addr", "127.0.0.1:0", "-cache", "off", "-scale", "50", "-drain", "10s"})
+		pw.Close()
+	}()
+	// run registers its signal handler before it prints the listening
+	// line; the reader drains the pipe to its end so run never blocks.
+	addrc := make(chan string, 1)
+	go func() {
+		sc := bufio.NewScanner(pr)
+		for sc.Scan() {
+			if rest, ok := strings.CutPrefix(sc.Text(), "vexsmtd listening on "); ok {
+				addrc <- strings.Fields(rest)[0]
+			}
+		}
+	}()
+	select {
+	case addr := <-addrc:
+		return addr, errc
+	case err := <-errc:
+		t.Fatalf("run returned before listening: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("no listening line within 10s")
+	}
+	return "", nil
+}
+
+// sigterm sends SIGTERM to the test process, which a running daemon
+// catches to begin its drain.
+func sigterm(t *testing.T) {
+	t.Helper()
+	self, err := os.FindProcess(os.Getpid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := self.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
 	}
 }

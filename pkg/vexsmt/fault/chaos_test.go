@@ -5,7 +5,6 @@ package fault_test
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -118,28 +117,5 @@ func TestPeerFillDegradesUnderChaos(t *testing.T) {
 	got, ok := healthy.Fetch("somekey")
 	if !ok || !bytes.Equal(got, entry) {
 		t.Fatalf("clean fetch = %q, %v; want the served entry", got, ok)
-	}
-}
-
-// TestFetchContextRespectsCallerDeadline is the satellite-1 regression
-// test: an already-expired caller context must stop the peer walk —
-// the old hardcoded 1s timeout on context.Background ignored callers
-// entirely.
-func TestFetchContextRespectsCallerDeadline(t *testing.T) {
-	reached := false
-	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		reached = true
-	}))
-	defer peer.Close()
-	f := fleet.NewFetcher("self", func() []fleet.Member {
-		return []fleet.Member{{ID: "peer", URL: peer.URL, CacheEnabled: true}}
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, ok := f.FetchContext(ctx, "somekey"); ok {
-		t.Fatal("cancelled context produced a hit")
-	}
-	if reached {
-		t.Fatal("cancelled context still contacted the peer")
 	}
 }

@@ -42,9 +42,8 @@ type Member struct {
 	Simulations   int64   `json:"simulations"`
 	Predictors    string  `json:"predictors,omitempty"`
 	// Workloads advertises the trace corpus this daemon holds, as
-	// comma-joined sorted "name@sha256" references — a coordinator can
-	// route a trace-backed cell only to members advertising its reference,
-	// since equal reference means byte-identical trace content.
+	// comma-joined sorted "name@sha256" references; vexsmtctl -status
+	// shows its size in the WL column.
 	Workloads    string            `json:"workloads,omitempty"`
 	CacheEnabled bool              `json:"cache_enabled"`
 	Cache        vexsmt.CacheStats `json:"cache"`
@@ -73,6 +72,10 @@ const (
 	DefaultTTL               = 10 * time.Second
 	DefaultHeartbeatInterval = 3 * time.Second
 )
+
+// registryTimeout bounds one registry round-trip: a heartbeat or a
+// member listing.
+const registryTimeout = 5 * time.Second
 
 // Registry is the fleet's membership table. Registration and heartbeat
 // are the same idempotent upsert; a member that stops heartbeating is

@@ -2,7 +2,6 @@ package fleet_test
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -66,7 +65,7 @@ func FuzzRegisterMember(f *testing.F) {
 const peerEntryCap = 1 << 20
 
 // FuzzPeerFetch serves a fuzzed peer answer — status, X-Vexsmt-Sha256
-// header and body — to Fetcher.FetchContext, the one decoder of a peer
+// header and body — to Fetcher.Fetch, the one decoder of a peer
 // cache fill. It must never panic, and it may return ok only for a 200
 // answer whose body is at most 1 MiB and matches the digest in the
 // header; such an answer must be accepted. sign replaces the fuzzed
@@ -115,7 +114,7 @@ func FuzzPeerFetch(f *testing.F) {
 		status, header, body = st, digest, payload
 		mu.Unlock()
 
-		got, ok := fetcher.FetchContext(context.Background(), "k")
+		got, ok := fetcher.Fetch("k")
 		wellFormed := st == http.StatusOK && len(payload) <= peerEntryCap
 		if !ok {
 			if wellFormed && digest == want {

@@ -11,8 +11,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"vexsmt/pkg/vexsmt/resilience"
 )
 
 // Heartbeat keeps one daemon registered: it POSTs a fresh self-snapshot
@@ -72,8 +70,7 @@ func (h *Heartbeat) Beat(ctx context.Context) error {
 	if err != nil {
 		return h.setErr(err)
 	}
-	// resilience.Default's attempt budget bounds each round-trip.
-	ctx, cancel := resilience.Default().AttemptContext(ctx)
+	ctx, cancel := context.WithTimeout(ctx, registryTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		h.registry+"/v1/fleet/register", bytes.NewReader(body))

@@ -8,13 +8,17 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-
-	"vexsmt/pkg/vexsmt/resilience"
+	"time"
 )
 
 // maxPeerEntry bounds a peer cache response; real entries are a few
 // hundred bytes, so anything near the cap is a protocol violation.
 const maxPeerEntry = 1 << 20
+
+// peerFillTimeout bounds one peer's round-trip: entries are a few hundred
+// bytes, so a peer that cannot answer in a second is slower than
+// simulating locally.
+const peerFillTimeout = time.Second
 
 // Fetcher asks fleet peers for content-addressed cache entries — the
 // demand side of peer fill. Its Fetch method matches the hook
@@ -55,42 +59,31 @@ func NewFetcher(selfID string, peers func() []Member, opts ...FetcherOption) *Fe
 	return f
 }
 
-// Fetch implements the cache.WithPeerFill hook (which carries no
-// context); it is FetchContext under context.Background.
+// Fetch implements the cache.WithPeerFill hook: it tries each peer's
+// /v1/cache/{key} and returns the first verified entry. Any failure —
+// unreachable peer, miss, checksum mismatch — moves on to the next peer;
+// exhausting them is a peer miss and the caller simulates. Each peer's
+// round-trip is bounded by peerFillTimeout, and a peer fill is never
+// retried: the next peer, or the simulator, is the retry.
 func (f *Fetcher) Fetch(key string) ([]byte, bool) {
-	return f.FetchContext(context.Background(), key)
-}
-
-// FetchContext tries each peer's /v1/cache/{key} and returns the first
-// verified entry. Any failure — unreachable peer, miss, checksum
-// mismatch — moves on to the next peer; exhausting them is a peer miss
-// and the caller simulates. Each peer's round-trip is bounded by
-// resilience.PeerFill's attempt budget layered onto ctx — a caller whose
-// deadline is nearer is respected, not overridden — and a ctx already
-// done stops the peer walk entirely. A peer fill is never retried: the
-// next peer, or the simulator, is the retry.
-func (f *Fetcher) FetchContext(ctx context.Context, key string) ([]byte, bool) {
 	if f.peers == nil || key == "" || strings.ContainsAny(key, "/\\") {
 		return nil, false
 	}
 	peers := append([]Member(nil), f.peers()...)
 	sort.Slice(peers, func(i, j int) bool { return peers[i].ID < peers[j].ID })
 	for _, p := range peers {
-		if ctx.Err() != nil {
-			return nil, false
-		}
 		if p.ID == f.selfID || !p.CacheEnabled {
 			continue
 		}
-		if payload, ok := f.fetchOne(ctx, p, key); ok {
+		if payload, ok := f.fetchOne(p, key); ok {
 			return payload, true
 		}
 	}
 	return nil, false
 }
 
-func (f *Fetcher) fetchOne(ctx context.Context, p Member, key string) ([]byte, bool) {
-	ctx, cancel := resilience.PeerFill().AttemptContext(ctx)
+func (f *Fetcher) fetchOne(p Member, key string) ([]byte, bool) {
+	ctx, cancel := context.WithTimeout(context.TODO(), peerFillTimeout) // the WithPeerFill hook carries no ctx
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		strings.TrimRight(p.URL, "/")+"/v1/cache/"+key, nil)

@@ -9,7 +9,6 @@ import (
 	"net/url"
 	"strings"
 
-	"vexsmt/pkg/vexsmt/resilience"
 	"vexsmt/pkg/vexsmt/shard"
 )
 
@@ -82,7 +81,7 @@ func FetchMembers(ctx context.Context, client *http.Client, registryURL string) 
 	if client == nil {
 		client = http.DefaultClient
 	}
-	ctx, cancel := resilience.Default().AttemptContext(ctx)
+	ctx, cancel := context.WithTimeout(ctx, registryTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		strings.TrimRight(registryURL, "/")+"/v1/fleet/members", nil)

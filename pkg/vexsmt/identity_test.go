@@ -17,7 +17,6 @@ import (
 	"vexsmt/pkg/vexsmt/cache"
 	"vexsmt/pkg/vexsmt/fault"
 	"vexsmt/pkg/vexsmt/fleet"
-	"vexsmt/pkg/vexsmt/resilience"
 	"vexsmt/pkg/vexsmt/server"
 	"vexsmt/pkg/vexsmt/shard"
 )
@@ -176,6 +175,7 @@ var identityRows = []identityRow{
 		var degraded atomic.Bool
 		rs, _ := coordinate(t, plan, shard.Config{
 			LocalFallback: true,
+			Backoff:       time.Millisecond, // the dead backend's re-probes
 			Logf: func(format string, args ...any) {
 				if strings.Contains(fmt.Sprintf(format, args...), "falling back to local execution") {
 					degraded.Store(true)
@@ -329,12 +329,8 @@ func chaosRow(p fault.Profile, rerun bool) func(*testing.T, vexsmt.Plan, int) []
 			}
 			return n
 		}
-		policy := resilience.Default()
-		policy.Seed = 42
-		policy.BaseBackoff = time.Millisecond
-		policy.MaxBackoff = 4 * time.Millisecond
 		client := fault.Client(transport, nil)
-		rs, _ := coordinate(t, plan, shard.Config{Retries: 8, Policy: policy, LocalFallback: true},
+		rs, _ := coordinate(t, plan, shard.Config{Retries: 8, Backoff: time.Millisecond, LocalFallback: true},
 			httpBackend(t, urls[0], shard.WithClient(client)), httpBackend(t, urls[1], shard.WithClient(client)))
 		if transport.Fired()+cacheFaults() == 0 {
 			t.Fatalf("%s profile fired no fault", p.Name)
@@ -342,7 +338,7 @@ func chaosRow(p fault.Profile, rerun bool) func(*testing.T, vexsmt.Plan, int) []
 		out := []*vexsmt.ResultSet{rs}
 		if rerun {
 			before := cacheFaults()
-			rs, _ := coordinate(t, plan, shard.Config{Policy: policy}, httpBackend(t, urls[0]), httpBackend(t, urls[1]))
+			rs, _ := coordinate(t, plan, shard.Config{Backoff: time.Millisecond}, httpBackend(t, urls[0]), httpBackend(t, urls[1]))
 			if cacheFaults() == before {
 				t.Fatalf("%s rerun met no cache fault", p.Name)
 			}

@@ -116,23 +116,26 @@ type Options struct {
 	// Logf, when non-nil, receives steal, retry and backend-removal
 	// events.
 	Logf func(format string, args ...any)
-	// Backoff, when non-nil, returns the wait a backend observes after
-	// its n-th consecutive failure before pulling the next item —
-	// typically resilience.Policy.Backoff, which adds deterministic
-	// jitter. Nil means no wait: the backend pulls its next item at once.
-	Backoff func(backend string, n int) time.Duration
-	// BreakerThreshold is how many consecutive transient failures take a
-	// backend out of rotation while another backend stays live. Values
-	// below 1 select the default (3).
-	BreakerThreshold int
+	// Backoff is the base of the wait a backend observes after a
+	// transient failure before pulling its next item: base·2^(n−1) after
+	// its n-th consecutive failure, capped at 8·base. Zero means no wait.
+	Backoff time.Duration
 }
 
-// maxConsecutiveFailures is the default BreakerThreshold: how many
-// transient failures in a row take a backend out of rotation (only
-// while another backend stays live) — a dead machine should shed its
-// queue to the survivors, not grind through the grid one failed attempt
-// at a time.
-const maxConsecutiveFailures = 3
+// breakerThreshold is how many transient failures in a row take a
+// backend out of rotation (only while another backend stays live) — a
+// dead machine should shed its queue to the survivors, not grind through
+// the grid one failed attempt at a time.
+const breakerThreshold = 3
+
+// backoff returns the wait after the n-th consecutive failure (n ≥ 1):
+// base doubling per failure, capped at 8·base.
+func backoff(base time.Duration, n int) time.Duration {
+	if n > 4 {
+		n = 4
+	}
+	return base << (n - 1)
+}
 
 // Run schedules items over the backends and returns a channel delivering
 // one Result per item. The channel closes when every item has a final
@@ -427,7 +430,7 @@ func (st *state[T, R]) noteOutcome(bi int, failed bool) {
 		return
 	}
 	st.consec[bi]++
-	if st.consec[bi] < st.breaker() || !st.live[bi] {
+	if st.consec[bi] < breakerThreshold || !st.live[bi] {
 		return
 	}
 	liveOthers := 0
@@ -502,20 +505,12 @@ func (st *state[T, R]) worker(ctx context.Context, bi int, b Backend[T, R]) {
 		st.mu.Lock()
 		n := st.consec[bi]
 		st.mu.Unlock()
-		if n > 0 && st.opts.Backoff != nil {
+		if n > 0 && st.opts.Backoff > 0 {
 			select {
-			case <-time.After(st.opts.Backoff(b.Name(), n)):
+			case <-time.After(backoff(st.opts.Backoff, n)):
 			case <-ctx.Done():
 				return
 			}
 		}
 	}
-}
-
-// breaker returns the effective consecutive-failure threshold.
-func (st *state[T, R]) breaker() int {
-	if st.opts.BreakerThreshold >= 1 {
-		return st.opts.BreakerThreshold
-	}
-	return maxConsecutiveFailures
 }

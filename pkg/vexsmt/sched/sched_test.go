@@ -209,7 +209,7 @@ func TestSingleBackendTransientRetry(t *testing.T) {
 
 func TestConsecutiveFailuresRemoveBackend(t *testing.T) {
 	// A backend that always fails is taken out of rotation after
-	// maxConsecutiveFailures, so a long run does not pay one failed
+	// breakerThreshold, so a long run does not pay one failed
 	// attempt (plus backoff) per item.
 	var deadRuns atomic.Int64
 	dead := NewFunc("dead", 1, func(_ context.Context, i int) (int, error) {
@@ -243,8 +243,51 @@ func TestConsecutiveFailuresRemoveBackend(t *testing.T) {
 			t.Fatalf("item %d failed: %v", i, r.Err)
 		}
 	}
-	if n := deadRuns.Load(); n > maxConsecutiveFailures+2 {
+	if n := deadRuns.Load(); n > breakerThreshold+2 {
 		t.Fatalf("dead backend ran %d attempts; breaker never tripped", n)
+	}
+}
+
+func TestBackoffSchedule(t *testing.T) {
+	want := []time.Duration{
+		250 * time.Millisecond,
+		500 * time.Millisecond,
+		time.Second,
+		2 * time.Second,
+		2 * time.Second, // capped at 8·base
+	}
+	for i, w := range want {
+		if got := backoff(250*time.Millisecond, i+1); got != w {
+			t.Errorf("backoff(250ms, %d) = %s, want %s", i+1, got, w)
+		}
+	}
+}
+
+func TestBackoffWaitEndsOnCancel(t *testing.T) {
+	// A failing backend starts an hour-long backoff; cancelling must end
+	// the wait and close the channel at once.
+	ctx, cancel := context.WithCancel(bg)
+	failed := make(chan struct{}, 1)
+	down := NewFunc("down", 1, func(context.Context, int) (int, error) {
+		select {
+		case failed <- struct{}{}:
+		default:
+		}
+		return 0, errors.New("down")
+	})
+	ch, err := Run(ctx, ints(1), []Backend[int, int]{down}, Options{Retries: 5, Backoff: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-failed
+	cancel()
+	deadline := time.After(5 * time.Second)
+	for open := true; open; {
+		select {
+		case _, open = <-ch:
+		case <-deadline:
+			t.Fatal("channel did not close within 5s of cancellation")
+		}
 	}
 }
 

@@ -14,14 +14,12 @@ import (
 	"io"
 	"net/http"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"vexsmt/pkg/vexsmt"
-	"vexsmt/pkg/vexsmt/resilience"
 )
 
 // Server exposes the public vexsmt API over HTTP/JSON. It is deliberately
@@ -138,6 +136,18 @@ func New(scale int64, seed uint64, parallelism int, opts ...Option) *Server {
 		o(s)
 	}
 	return s
+}
+
+// connTimeout is how long a client gets to finish its request headers
+// and to hold an idle keep-alive connection.
+const connTimeout = 5 * time.Second
+
+// NewHTTPServer wraps h in the http.Server every listener of this
+// project uses: a stalled client is disconnected after connTimeout, and
+// there is deliberately no write timeout, because an NDJSON results
+// stream stays open as long as its plan runs.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: connTimeout, IdleTimeout: connTimeout}
 }
 
 // Handler returns the server's route table.
@@ -391,7 +401,8 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 		// backoff hint instead of queueing work it cannot start — a fleet
 		// coordinator treats the 503 as "place elsewhere, come back in a
 		// beat" rather than a dead member.
-		w.Header().Set("Retry-After", strconv.Itoa(resilience.RetryAfterHint))
+		const retryAfterSeconds = "1"
+		w.Header().Set("Retry-After", retryAfterSeconds)
 		httpError(w, http.StatusServiceUnavailable, "%s", refused)
 		return
 	}

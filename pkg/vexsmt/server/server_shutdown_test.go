@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -113,5 +114,43 @@ func TestGracefulShutdownDrainsStreams(t *testing.T) {
 				baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// TestSlowHeaderConnectionClosed: a client that sends half a request
+// header and stalls is disconnected once the header budget runs out,
+// instead of holding a connection and its goroutine forever.
+func TestSlowHeaderConnectionClosed(t *testing.T) {
+	hs := NewHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != 5*time.Second || hs.IdleTimeout != 5*time.Second || hs.WriteTimeout != 0 {
+		t.Fatalf("timeouts: header %s, idle %s, write %s; want 5s, 5s, none",
+			hs.ReadHeaderTimeout, hs.IdleTimeout, hs.WriteTimeout)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go hs.Serve(ln)
+	defer hs.Close()
+
+	// The server may accept, and start its header clock, before Dial
+	// returns here, so the client clock starts before the dial.
+	start := time.Now()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// No blank line: the header never ends.
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: localhost\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	bound := hs.ReadHeaderTimeout + 2*time.Second
+	conn.SetReadDeadline(start.Add(bound))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("connection still open after %s: %v", time.Since(start), err)
+	}
+	if elapsed := time.Since(start); elapsed < hs.ReadHeaderTimeout {
+		t.Fatalf("connection closed after %s, before the %s header budget", elapsed, hs.ReadHeaderTimeout)
 	}
 }

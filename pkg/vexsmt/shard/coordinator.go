@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"vexsmt/pkg/vexsmt"
-	"vexsmt/pkg/vexsmt/resilience"
 	"vexsmt/pkg/vexsmt/sched"
 )
 
@@ -41,12 +40,11 @@ type Config struct {
 	// CacheOff asks every backend to bypass its result cache for this
 	// run's cells (forwarded as cache=off on remote submissions).
 	CacheOff bool
-	// Policy shapes the run's failure handling: the post-failure backoff
-	// (with deterministic jitter) and the consecutive-failure circuit
-	// breaker the cell scheduler applies per backend. Zero fields take
-	// resilience.Default()'s values, which match the scheduler's
-	// historical hardcoded behavior.
-	Policy resilience.Policy
+	// Backoff is the base of the run's failure waits: a backend waits
+	// Backoff·2^(n−1), capped at 8·Backoff, after its n-th consecutive
+	// failed cell, and a placement round in which no backend is healthy
+	// re-probes the failed ones Backoff apart. Zero means 250ms.
+	Backoff time.Duration
 	// LocalFallback degrades Collect to in-process execution when no
 	// backend is healthy (source empty, every probe failed, or a foreign
 	// schema everywhere) instead of failing the run. The fallback runs
@@ -114,6 +112,9 @@ func NewFromSource(cfg Config, src Source) (*Coordinator, error) {
 		cfg.Retries = 2
 	case cfg.Retries < 0:
 		cfg.Retries = 0
+	}
+	if cfg.Backoff <= 0 {
+		cfg.Backoff = 250 * time.Millisecond
 	}
 	return &Coordinator{cfg: cfg, source: src}, nil
 }
@@ -213,10 +214,9 @@ func (c *Coordinator) Collect(ctx context.Context, plan vexsmt.Plan) (*vexsmt.Re
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	ch, err := sched.Run(runCtx, cells, sbs, sched.Options{
-		Retries:          c.cfg.Retries,
-		Logf:             c.cfg.Logf,
-		Backoff:          c.cfg.Policy.Backoff,
-		BreakerThreshold: c.cfg.Policy.Breaker(),
+		Retries: c.cfg.Retries,
+		Logf:    c.cfg.Logf,
+		Backoff: c.cfg.Backoff,
 	})
 	if err != nil {
 		return nil, err
@@ -265,10 +265,20 @@ func (c *Coordinator) Collect(ctx context.Context, plan vexsmt.Plan) (*vexsmt.Re
 	return rs, nil
 }
 
+// placementProbes is how many probe rounds placement makes before it
+// calls a backend set unhealthy: a round in which every probe fails is
+// followed by up to two more over the failed backends, Config.Backoff
+// apart, so one unlucky round cannot send a whole sweep local.
+const placementProbes = 3
+
+// probeTimeout bounds one backend's health probe: a backend that cannot
+// answer in 2s is left out of the round rather than allowed to stall it.
+const probeTimeout = 2 * time.Second
+
 // healthyBackends resolves the source's current membership, probes every
 // backend, and returns a scheduler-ready adapter per healthy one, each
 // sized to the backend's free capacity (at least one slot). Backends
-// whose probe fails or that speak a foreign schema version are left out
+// whose probes fail or that speak a foreign schema version are left out
 // of the run entirely — they receive no cells.
 func (c *Coordinator) healthyBackends(ctx context.Context) ([]*cellBackend, error) {
 	backends, err := c.source.Backends(ctx)
@@ -278,29 +288,43 @@ func (c *Coordinator) healthyBackends(ctx context.Context) ([]*cellBackend, erro
 	if len(backends) == 0 {
 		return nil, fmt.Errorf("shard: backend source yielded no backends")
 	}
-	probes := c.probeAll(ctx, backends)
-	var out []*cellBackend
-	for i, r := range probes {
-		if r.err != nil {
-			c.logf("placement: %s unhealthy: %v", backends[i].Name(), r.err)
-			continue
+	failed := backends
+	for round := 1; ; round++ {
+		probes := probeAll(ctx, failed)
+		var out []*cellBackend
+		var again []Backend
+		for i, r := range probes {
+			b := failed[i]
+			if r.err != nil {
+				c.logf("placement: %s unhealthy: %v", b.Name(), r.err)
+				again = append(again, b)
+				continue
+			}
+			if r.h.SchemaVersion != 0 && r.h.SchemaVersion != vexsmt.SchemaVersion {
+				c.logf("placement: %s speaks schema v%d, want v%d",
+					b.Name(), r.h.SchemaVersion, vexsmt.SchemaVersion)
+				continue
+			}
+			slots := r.h.Capacity - r.h.Running
+			if slots < 1 {
+				slots = 1 // saturated or unknown: still queue one cell at a time
+			}
+			c.logf("placement: %s healthy, %d slot(s)", b.Name(), slots)
+			out = append(out, &cellBackend{b: b, slots: slots})
 		}
-		if r.h.SchemaVersion != 0 && r.h.SchemaVersion != vexsmt.SchemaVersion {
-			c.logf("placement: %s speaks schema v%d, want v%d",
-				backends[i].Name(), r.h.SchemaVersion, vexsmt.SchemaVersion)
-			continue
+		if len(out) > 0 {
+			return out, nil
 		}
-		slots := r.h.Capacity - r.h.Running
-		if slots < 1 {
-			slots = 1 // saturated or unknown: still queue one cell at a time
+		if len(again) == 0 || round == placementProbes {
+			return nil, fmt.Errorf("shard: no healthy backend among %d", len(backends))
 		}
-		c.logf("placement: %s healthy, %d slot(s)", backends[i].Name(), slots)
-		out = append(out, &cellBackend{b: backends[i], slots: slots})
+		select {
+		case <-time.After(c.cfg.Backoff):
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		failed = again
 	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("shard: no healthy backend among %d", len(backends))
-	}
-	return out, nil
 }
 
 // probeResult is one backend's health probe outcome.
@@ -309,25 +333,17 @@ type probeResult struct {
 	err error
 }
 
-// probeCeiling bounds one backend's health probe during placement: one
-// second of slack above the per-backend probe policy (resilience.Probe,
-// which HTTP backends clamp to themselves), so a backend's own bound
-// fires first and the error is attributed to the backend, with the
-// ceiling as the net under backends that carry no bound of their own.
-var probeCeiling = resilience.Probe().AttemptTimeout + time.Second
-
-// probeAll health-checks every backend concurrently (probeCeiling each,
-// on top of any per-backend probe timeout such as HTTP's
-// WithHealthTimeout), so one unreachable backend costs a single probe
+// probeAll health-checks every backend concurrently, each bounded by
+// probeTimeout, so one unreachable backend costs a single probe
 // round-trip, not a serialized one per backend.
-func (c *Coordinator) probeAll(ctx context.Context, backends []Backend) []probeResult {
+func probeAll(ctx context.Context, backends []Backend) []probeResult {
 	out := make([]probeResult, len(backends))
 	var wg sync.WaitGroup
 	for i, b := range backends {
 		wg.Add(1)
 		go func(i int, b Backend) {
 			defer wg.Done()
-			hctx, cancel := context.WithTimeout(ctx, probeCeiling)
+			hctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			out[i].h, out[i].err = b.Health(hctx)
 			cancel()
 		}(i, b)

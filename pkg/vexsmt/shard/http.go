@@ -9,10 +9,8 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"time"
 
 	"vexsmt/pkg/vexsmt"
-	"vexsmt/pkg/vexsmt/resilience"
 	"vexsmt/pkg/vexsmt/sched"
 )
 
@@ -23,16 +21,9 @@ import (
 // stream and reaches the remote simulation within one timeslice-bounded
 // poll.
 type HTTP struct {
-	base          string
-	client        *http.Client
-	healthTimeout time.Duration
+	base   string
+	client *http.Client
 }
-
-// defaultHealthTimeout bounds a /healthz probe: health checks are a
-// placement signal, and a daemon that cannot answer one quickly should be
-// left out of the round rather than stall it. The value is the fleet-wide
-// probe policy's attempt budget (resilience.Probe).
-var defaultHealthTimeout = resilience.Probe().AttemptTimeout
 
 // HTTPOption configures an HTTP backend.
 type HTTPOption func(*HTTP)
@@ -43,19 +34,6 @@ type HTTPOption func(*HTTP)
 // for the whole simulation.
 func WithClient(c *http.Client) HTTPOption {
 	return func(h *HTTP) { h.client = c }
-}
-
-// WithHealthTimeout bounds each Health probe. Zero or negative restores
-// the default (2s). Job submission and result streaming are unaffected —
-// only the /healthz round-trip is clamped.
-func WithHealthTimeout(d time.Duration) HTTPOption {
-	return func(h *HTTP) {
-		if d > 0 {
-			h.healthTimeout = d
-		} else {
-			h.healthTimeout = defaultHealthTimeout
-		}
-	}
 }
 
 // NewHTTP builds a backend for the vexsmtd at baseURL (e.g.
@@ -69,9 +47,8 @@ func NewHTTP(baseURL string, opts ...HTTPOption) (*HTTP, error) {
 		return nil, fmt.Errorf("shard: backend url %q: need scheme and host", baseURL)
 	}
 	h := &HTTP{
-		base:          strings.TrimRight(baseURL, "/"),
-		client:        http.DefaultClient,
-		healthTimeout: defaultHealthTimeout,
+		base:   strings.TrimRight(baseURL, "/"),
+		client: http.DefaultClient,
 	}
 	for _, o := range opts {
 		o(h)
@@ -82,12 +59,9 @@ func NewHTTP(baseURL string, opts ...HTTPOption) (*HTTP, error) {
 // Name implements Backend: the base URL identifies the daemon.
 func (h *HTTP) Name() string { return h.base }
 
-// Health implements Backend via GET /healthz, bounded by the backend's
-// health timeout (WithHealthTimeout) on top of whatever deadline ctx
-// already carries.
+// Health implements Backend via GET /healthz, bounded by ctx (placement
+// gives each probe 2s).
 func (h *HTTP) Health(ctx context.Context) (Health, error) {
-	ctx, cancel := context.WithTimeout(ctx, h.healthTimeout)
-	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, h.base+"/healthz", nil)
 	if err != nil {
 		return Health{}, err

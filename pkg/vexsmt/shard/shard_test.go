@@ -354,6 +354,54 @@ func TestPlacementSkipsUnhealthyBackend(t *testing.T) {
 	}
 }
 
+// probeFailsFirst wraps a backend whose first Health probe fails, and
+// counts the jobs it runs.
+type probeFailsFirst struct {
+	shard.Backend
+	probes, runs atomic.Int64
+}
+
+func (p *probeFailsFirst) Health(ctx context.Context) (shard.Health, error) {
+	if p.probes.Add(1) == 1 {
+		return shard.Health{}, errors.New("injected probe failure")
+	}
+	return p.Backend.Health(ctx)
+}
+
+func (p *probeFailsFirst) Run(ctx context.Context, job shard.Job) (*vexsmt.ResultSet, error) {
+	p.runs.Add(1)
+	return p.Backend.Run(ctx, job)
+}
+
+// TestPlacementReprobesBeforeFallback: one failed probe round does not
+// send the sweep local — placement re-probes, and the backend whose
+// first probe failed still runs the cells.
+func TestPlacementReprobesBeforeFallback(t *testing.T) {
+	svc := testService(t)
+	plan := vexsmt.Plan{Figures: []string{"14"}}
+	want := collectBaseline(t, svc, plan)
+	b := &probeFailsFirst{Backend: shard.NewLocal("late", svc)}
+	coord, err := shard.New(shard.Config{
+		Scale:         testScale,
+		Seed:          svc.Seed(),
+		Backoff:       time.Millisecond,
+		LocalFallback: true,
+	}, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := coord.Collect(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encodeCanonical(t, rs); got != want {
+		t.Fatal("result after a re-probe differs from Service.Collect")
+	}
+	if b.runs.Load() == 0 {
+		t.Fatalf("backend ran no cell after %d probes; the sweep fell back to local", b.probes.Load())
+	}
+}
+
 // rewriteJobBackend runs a rewritten copy of every job: a backend that
 // quietly simulates a different cell than the job named (another mix, the
 // static front end for a modeled one, another trace), then honestly

@@ -106,9 +106,9 @@ func TestHTTPRunRejectsForeignMeta(t *testing.T) {
 	}
 }
 
-// TestWithHealthTimeout: a daemon whose /healthz hangs must fail the
-// probe within the configured timeout instead of holding up placement.
-func TestWithHealthTimeout(t *testing.T) {
+// TestHealthHonorsContextDeadline: a daemon whose /healthz hangs must
+// fail the probe at the caller's deadline instead of holding up placement.
+func TestHealthHonorsContextDeadline(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -118,12 +118,14 @@ func TestWithHealthTimeout(t *testing.T) {
 		}
 	}))
 	defer ts.Close()
-	b, err := shard.NewHTTP(ts.URL, shard.WithHealthTimeout(50*time.Millisecond))
+	b, err := shard.NewHTTP(ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	if _, err := b.Health(context.Background()); err == nil {
+	if _, err := b.Health(ctx); err == nil {
 		t.Fatal("hanging healthz probe reported healthy")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
