@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -155,20 +156,24 @@ func (d *Disk) corrupt(key string) {
 // best-effort) but counted in Stats().Errors.
 func (d *Disk) Put(key string, value []byte) {
 	p := d.path(key)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		d.errs.Add(1)
-		return
+	dir := filepath.Dir(p)
+	f, err := os.CreateTemp(dir, ".tmp-*")
+	if errors.Is(err, fs.ErrNotExist) {
+		// The key's fan-out directory is made on its first Put (and again
+		// should anything remove it), not tried on every Put.
+		if err = os.MkdirAll(dir, 0o755); err == nil {
+			f, err = os.CreateTemp(dir, ".tmp-*")
+		}
 	}
-	f, err := os.CreateTemp(filepath.Dir(p), ".tmp-*")
 	if err != nil {
 		d.errs.Add(1)
 		return
 	}
+	// The checksum line and the payload go out in one write.
+	buf := make([]byte, 0, sha256.Size*2+1+len(value))
 	sum := sha256.Sum256(value)
-	_, werr := fmt.Fprintf(f, "%s\n", hex.EncodeToString(sum[:]))
-	if werr == nil {
-		_, werr = f.Write(value)
-	}
+	buf = append(append(hex.AppendEncode(buf, sum[:]), '\n'), value...)
+	_, werr := f.Write(buf)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
@@ -186,12 +191,11 @@ func (d *Disk) Put(key string, value []byte) {
 	}
 	d.gen.Add(1)
 	d.verified.drop(key)
-	newSize := int64(len(value)) + sha256.Size*2 + 1 // checksum line + payload
 	if oldSize < 0 {
 		d.entries.Add(1)
-		d.bytes.Add(newSize)
+		d.bytes.Add(int64(len(buf)))
 	} else {
-		d.bytes.Add(newSize - oldSize)
+		d.bytes.Add(int64(len(buf)) - oldSize)
 	}
 	d.puts.Add(1)
 }

@@ -6,6 +6,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -318,15 +319,11 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	var req planRequest
-	body := http.MaxBytesReader(w, r.Body, 1<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	req, err := readPlanRequest(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad plan: %v", err)
 		return
 	}
-	// net/http notices a client hanging up (ending r.Context()) only once
-	// the request body has been read to EOF.
-	_, _ = io.Copy(io.Discard, body)
 	// Present overrides — including explicit zeros — go through the option
 	// validators, so an invalid value (zero or negative scale, zero
 	// parallelism) is a 400, never a silent fallback to the defaults.
@@ -406,113 +403,199 @@ func (s *Server) handlePlans(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "%s", refused)
 		return
 	}
-	s.servePlan(w, r, svc, req.Plan, len(cells), p)
+	s.servePlan(w, r, svc, req.Plan, cells, p)
 }
 
+// readPlanRequest reads a /v1/plans body to its end: net/http notices a
+// client hanging up (ending r.Context()) only once the request body has
+// been read to EOF. A coordinator's submission (vexsmt.AppendPlanSubmit's
+// bytes) parses without encoding/json; any other body, or one cut short
+// by the size limit, is decoded by json.Decoder from the same byte
+// stream, which reads the first JSON value and ignores what follows it.
+func readPlanRequest(body io.Reader) (planRequest, error) {
+	var req planRequest
+	data, rerr := io.ReadAll(body)
+	if rerr == nil {
+		if sub, ok := vexsmt.ParsePlanSubmit(data); ok {
+			req.Cells, req.Scale, req.Seed, req.Cache = sub.Cells, &sub.Scale, &sub.Seed, sub.Cache
+			return req, nil
+		}
+	}
+	// After a read error body returns that error again, so the decoder
+	// meets it exactly where it would have reading body directly.
+	err := json.NewDecoder(io.MultiReader(bytes.NewReader(data), body)).Decode(&req)
+	return req, err
+}
+
+// flushTick bounds how long a running plan's reply stays buffered: a
+// slow plan's ack reaches the client within one tick.
+const flushTick = 100 * time.Millisecond
+
 // servePlan runs an admitted plan and writes its NDJSON reply: the ack,
-// each cell as it arrives, and the terminal status line. It drains the
-// plan's cells to the end even after the client has gone, so the plan's
-// workers unwind, and it retires the plan before the status line, so a
-// client that has read that line finds the daemon's running weight
-// already returned.
+// each cell as it completes, and the terminal status line. It retires
+// the plan before the status line, so a client that has read that line
+// finds the daemon's running weight already returned.
 //
-// Output is buffered, headers included, and flushed only when the writer
-// is about to wait while holding cells the client has not seen (and more
-// are to come), or on the 100 ms tick while it waits. So a slow plan's
-// ack reaches the client within one tick, while a plan that finishes
-// before the writer waits (a cache hit) leaves in the one write net/http
-// makes when the handler returns.
-func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, svc *vexsmt.Service, pl vexsmt.Plan, total int, p *runningPlan) {
+// Output is buffered, headers included, so a plan that finishes without
+// waiting (a cache hit) leaves in the one write net/http makes when the
+// handler returns. A one-cell plan, which is every coordinator
+// submission, runs on this goroutine: no scheduler, no forwarder, just a
+// timer that flushes the ack if the cell still runs one tick later.
+// Larger plans stream over the service's worker pool (see drain).
+func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, svc *vexsmt.Service, pl vexsmt.Plan, cells []vexsmt.CellSpec, p *runningPlan) {
 	ctx, cancel := context.WithCancel(s.base)
 	defer cancel()
 	defer context.AfterFunc(r.Context(), cancel)()
-	// The plan's simulator runs roll into the server-wide counter once its
-	// cells stop (cache hits excluded), so /healthz "simulations" tells the
-	// fleet whether this daemon worked or recalled.
-	retire := func() {
-		s.simulations.Add(svc.SimulationsRun())
-		s.mu.Lock()
-		delete(s.running, p)
-		s.mu.Unlock()
-	}
-	ch, err := svc.Stream(ctx, pl)
-	if err != nil {
-		retire()
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+	var ch <-chan vexsmt.CellResult
+	if len(cells) != 1 {
+		var err error
+		if ch, err = svc.Stream(ctx, pl); err != nil {
+			s.retire(svc, p)
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flush := func() {}
-	if f, ok := w.(http.Flusher); ok {
-		flush = f.Flush
+	rep := &replyWriter{w: w, cancel: cancel, total: len(cells)}
+	// One buffer, sized to hold a cell line, serves every line.
+	rep.write(vexsmt.AppendAckLine(make([]byte, 0, 1<<10), &vexsmt.PlanAck{Cells: len(cells), Meta: svc.Meta()}), nil)
+	if ch == nil {
+		rep.runCell(ctx, svc, cells[0])
+	} else {
+		rep.drain(ctx, ch)
 	}
-	// Each line is appended to buf (see vexsmt's wire codec) and written
-	// whole; buf is reused for the next.
-	var buf []byte
-	var werr error
-	write := func(line []byte, err error) {
-		if werr == nil {
-			if err == nil {
-				_, err = w.Write(line)
-			}
-			if werr = err; werr != nil {
-				cancel() // the client went away; stop simulating for it
-			}
-		}
-		buf = line[:0]
+	s.retire(svc, p)
+	status := "done"
+	switch {
+	case ctx.Err() != nil:
+		status = "cancelled"
+	case rep.failed != "":
+		status = "failed"
 	}
-	write(vexsmt.AppendAckLine(buf, &vexsmt.PlanAck{Cells: total, Meta: svc.Meta()}), nil)
+	rep.write(vexsmt.AppendStatusLine(rep.buf, &vexsmt.PlanStatus{Cells: rep.total, Completed: rep.completed,
+		Error: rep.failed, Status: status}), nil)
+}
 
-	tick := time.NewTicker(100 * time.Millisecond)
+// retire returns a plan's admission weight once its cells have stopped,
+// and rolls its simulator runs (cache hits excluded) into the
+// server-wide counter, so /healthz "simulations" tells the fleet whether
+// this daemon worked or recalled.
+func (s *Server) retire(svc *vexsmt.Service, p *runningPlan) {
+	s.simulations.Add(svc.SimulationsRun())
+	s.mu.Lock()
+	delete(s.running, p)
+	s.mu.Unlock()
+}
+
+// replyWriter writes one plan's NDJSON reply and tallies its cells.
+type replyWriter struct {
+	w      http.ResponseWriter
+	cancel context.CancelFunc // stops the plan once a write fails
+	buf    []byte             // each line is appended here and written whole
+	werr   error              // the first write error
+
+	total, completed int
+	failed           string // the first failed cell and its error
+
+	// mu and done keep runCell's timer from flushing w concurrently with,
+	// or after, the handler's own later writes.
+	mu   sync.Mutex
+	done bool
+}
+
+// flush pushes what w has buffered to the client.
+func (rep *replyWriter) flush() {
+	if f, ok := rep.w.(http.Flusher); ok {
+		f.Flush()
+	}
+}
+
+// write writes one line (see vexsmt's wire codec) unless an earlier
+// write failed, and keeps the line's buffer for the next.
+func (rep *replyWriter) write(line []byte, err error) {
+	if rep.werr == nil {
+		if err == nil {
+			_, err = rep.w.Write(line)
+		}
+		if rep.werr = err; rep.werr != nil {
+			rep.cancel() // the client went away; stop simulating for it
+		}
+	}
+	rep.buf = line[:0]
+}
+
+// cell tallies a delivered cell and writes it, reporting whether it did.
+// A cell that failed because the plan was cancelled never completed (and
+// is un-memoized), so it must not inflate the completed count or
+// masquerade as the plan's error.
+func (rep *replyWriter) cell(ctx context.Context, c *vexsmt.CellResult) bool {
+	if c.Err != "" && ctx.Err() != nil {
+		return false
+	}
+	rep.completed++
+	if c.Err != "" && rep.failed == "" {
+		rep.failed = fmt.Sprintf("%s: %s", c.CellSpec, c.Err)
+	}
+	rep.write(vexsmt.AppendCellLine(rep.buf, c))
+	return true
+}
+
+// runCell resolves a one-cell plan on the handler's goroutine. The timer
+// starts a goroutine only if it fires, that is, only for a cell that
+// runs longer than a tick.
+func (rep *replyWriter) runCell(ctx context.Context, svc *vexsmt.Service, spec vexsmt.CellSpec) {
+	t := time.AfterFunc(flushTick, func() {
+		rep.mu.Lock()
+		defer rep.mu.Unlock()
+		if !rep.done {
+			rep.flush()
+		}
+	})
+	c, _ := svc.RunCell(ctx, spec) // a failure arrives in c.Err
+	t.Stop()
+	rep.mu.Lock()
+	rep.done = true
+	rep.mu.Unlock()
+	rep.cell(ctx, &c)
+}
+
+// drain writes a streamed plan's cells as they arrive, to the end of the
+// channel even after the client has gone, so the plan's workers unwind.
+// It flushes when it is about to wait holding cells the client has not
+// seen (and more are to come), and on every tick while it waits.
+func (rep *replyWriter) drain(ctx context.Context, ch <-chan vexsmt.CellResult) {
+	tick := time.NewTicker(flushTick)
 	defer tick.Stop()
-	received, completed, failed := 0, 0, ""
+	received := 0
 	unseen := false // cells written since the last flush
 	for {
-		var cell vexsmt.CellResult
+		var c vexsmt.CellResult
 		var ok bool
 		select {
-		case cell, ok = <-ch:
+		case c, ok = <-ch:
 		default:
-			if unseen && received < total {
-				flush()
+			if unseen && received < rep.total {
+				rep.flush()
 				unseen = false
 			}
 			select {
-			case cell, ok = <-ch:
+			case c, ok = <-ch:
 			case <-tick.C:
-				flush()
+				rep.flush()
 				unseen = false
 				continue
 			}
 		}
 		if !ok {
-			break
+			return
 		}
 		received++
-		if cell.Err != "" && ctx.Err() != nil {
-			// Cancellation abort, not a simulation failure: the cell never
-			// completed (and is un-memoized), so it must not inflate the
-			// completed count or masquerade as the plan's error.
-			continue
+		if rep.cell(ctx, &c) {
+			unseen = true
 		}
-		completed++
-		if cell.Err != "" && failed == "" {
-			failed = fmt.Sprintf("%s: %s", cell.CellSpec, cell.Err)
-		}
-		write(vexsmt.AppendCellLine(buf, &cell))
-		unseen = true
 	}
-	retire()
-	status := "done"
-	switch {
-	case ctx.Err() != nil:
-		status = "cancelled"
-	case failed != "":
-		status = "failed"
-	}
-	write(vexsmt.AppendStatusLine(buf, &vexsmt.PlanStatus{Cells: total, Completed: completed, Error: failed, Status: status}), nil)
 }
 
 // maxRunningJobs is the floor on the admission budget, so small daemons

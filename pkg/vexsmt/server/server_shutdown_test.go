@@ -21,10 +21,17 @@ import (
 // dropped connection), finish within the drain budget, and leave no
 // server goroutines behind.
 func TestGracefulShutdownDrainsStreams(t *testing.T) {
+	for _, tc := range slowPlans {
+		t.Run(tc.name, func(t *testing.T) { testShutdownDrains(t, tc.body) })
+	}
+}
+
+func testShutdownDrains(t *testing.T, body string) {
 	baseline := runtime.NumGoroutine()
 
-	// Scale 500 makes cells slow enough (vs the usual test scale 20000)
-	// that the plan is still running at shutdown.
+	// Scale 500 (the one-cell body pins 50) makes cells slow enough, vs
+	// the usual test scale 20000, that the plan is still running at
+	// shutdown.
 	srv := New(500, 1, 2, WithCache(cache.NewMemory(0)))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -40,8 +47,7 @@ func TestGracefulShutdownDrainsStreams(t *testing.T) {
 
 	// Post returns once the handler has pushed its headers (on its first
 	// tick), so the stream is wired up before shutdown begins.
-	stream, err := client.Post(base+"/v1/plans", "application/json",
-		strings.NewReader(`{"figures":["14"]}`))
+	stream, err := client.Post(base+"/v1/plans", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,27 +110,45 @@ func TestStreamSubmitRejectsBeforeStreaming(t *testing.T) {
 	}
 }
 
-// A client that hangs up mid-cell cancels its plan: the daemon's running
-// weight drains back to 0.
+// slowPlans are plan bodies whose cells take seconds each at scale 50,
+// one at a time: a figure, which streams over the worker pool, and a
+// coordinator's one-cell submission, which runs on the request's own
+// goroutine.
+var slowPlans = []struct{ name, body string }{
+	{"figure", `{"figures":["14"]}`},
+	{"one-cell", string(vexsmt.AppendPlanSubmit(nil, &vexsmt.PlanSubmit{
+		Cells: []vexsmt.CellSpec{{Mix: "hhhh", Technique: "SMT", Threads: 4}}, Scale: 50, Seed: 1}))},
+}
+
+// A client that hangs up mid-cell cancels its plan: the simulation stops
+// unfinished and the daemon's running weight drains back to 0.
 func TestStreamSubmitDisconnectCancels(t *testing.T) {
-	// At this scale the plan's cells take seconds each, one at a time:
-	// running it out would take far longer than the deadline below.
-	ts := httptest.NewServer(New(50, 1, 1).Handler())
-	defer ts.Close()
+	for _, tc := range slowPlans {
+		t.Run(tc.name, func(t *testing.T) {
+			// Running a cell out would take far longer than the deadline
+			// below.
+			srv := New(50, 1, 1)
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	resp := postStream(t, ctx, ts.URL, `{"figures":["14"]}`)
-	sc := bufio.NewScanner(resp.Body)
-	if !sc.Scan() {
-		t.Fatalf("no ack line: %v", sc.Err())
-	}
-	if n := healthzRunning(t, ts); n != 1 {
-		t.Fatalf("running %d while the cell simulates, want 1", n)
-	}
-	cancel()
-	resp.Body.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			resp := postStream(t, ctx, ts.URL, tc.body)
+			sc := bufio.NewScanner(resp.Body)
+			if !sc.Scan() {
+				t.Fatalf("no ack line: %v", sc.Err())
+			}
+			if n := healthzRunning(t, ts); n != 1 {
+				t.Fatalf("running %d while the cell simulates, want 1", n)
+			}
+			cancel()
+			resp.Body.Close()
 
-	waitRunning(t, ts, 0)
+			waitRunning(t, ts, 0)
+			if n := srv.Stats().Simulations; n != 0 {
+				t.Fatalf("%d simulations finished after the hang-up, want the cell stopped unfinished", n)
+			}
+		})
+	}
 }
 
 // Buffered streaming still pushes a slow plan's headers within a tick, so
@@ -236,5 +254,61 @@ func TestStreamFlushRule(t *testing.T) {
 			t.Fatal("slow plan never flushed its ack")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// oneCellHit is a server whose cache holds the one cell of hitBody, a
+// coordinator's submission of that cell.
+func oneCellHit(t testing.TB) (h http.Handler, hitBody []byte) {
+	h = New(20000, 1, 2, WithCache(cache.NewMemory(0))).Handler()
+	hitBody = vexsmt.AppendPlanSubmit(nil, &vexsmt.PlanSubmit{
+		Cells: []vexsmt.CellSpec{{Mix: "llll", Technique: "SMT", Threads: 2}}, Scale: 20000, Seed: 1})
+	for _, cached := range []bool{false, true} {
+		rec := serveBody(h, hitBody)
+		reply := rec.Body.String()
+		if rec.Code != http.StatusOK || !strings.Contains(reply, `"status":"done"`) ||
+			strings.Contains(reply, `"cached":true`) != cached {
+			t.Fatalf("one-cell plan: status %d, reply %q; want a done plan, cached %v", rec.Code, reply, cached)
+		}
+	}
+	return h, hitBody
+}
+
+// serveBody posts body to /v1/plans through h into a fresh recorder.
+func serveBody(h http.Handler, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plans", bytes.NewReader(body)))
+	return rec
+}
+
+// maxOneCellHitAllocs bounds the allocations of one cache-hit one-cell
+// plan served through Handler into a recorder, request and recorder
+// included, so the inline path cannot quietly regrow.
+const maxOneCellHitAllocs = 72
+
+// raceEnabled is set under the race detector, whose allocation counts
+// vary run to run (see race_test.go).
+var raceEnabled bool
+
+func TestOneCellHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	h, body := oneCellHit(t)
+	allocs := testing.AllocsPerRun(100, func() { serveBody(h, body) })
+	t.Logf("%.0f allocations per cache-hit one-cell plan", allocs)
+	if allocs > maxOneCellHitAllocs {
+		t.Fatalf("%.0f allocations per cache-hit one-cell plan, want at most %d", allocs, maxOneCellHitAllocs)
+	}
+}
+
+// BenchmarkServeOneCell times the server hop alone: a coordinator's
+// one-cell submission whose cell is a cache hit, through Handler into a
+// recorder, with no network between.
+func BenchmarkServeOneCell(b *testing.B) {
+	h, body := oneCellHit(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		serveBody(h, body)
 	}
 }

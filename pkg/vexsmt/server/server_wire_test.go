@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -60,6 +62,7 @@ func TestPlanReplyTranscript(t *testing.T) {
 		t.Fatal(err)
 	}
 	off := `{"cache":"off",` + string(plan[1:])
+	submit := vexsmt.AppendPlanSubmit(nil, &vexsmt.PlanSubmit{Cells: []vexsmt.CellSpec{spec}, Scale: 20000, Seed: 1})
 	for _, step := range []struct {
 		name, body string
 		cached     bool
@@ -67,6 +70,7 @@ func TestPlanReplyTranscript(t *testing.T) {
 		{"cache-off", off, false},
 		{"cold", string(plan), false},
 		{"warm", string(plan), true},
+		{"coordinator submit", string(submit), true},
 	} {
 		resp, err := http.Post(ts.URL+"/v1/plans", "application/json", strings.NewReader(step.body))
 		if err != nil {
@@ -81,7 +85,46 @@ func TestPlanReplyTranscript(t *testing.T) {
 			t.Fatalf("%s reply:\n got %s\nwant %s", step.name, got, want)
 		}
 	}
-	if st := disk.Stats(); st.Hits != 1 || st.Puts != 1 {
-		t.Fatalf("disk cache stats %+v, want the cold plan's put and the warm plan's hit", st)
+	if st := disk.Stats(); st.Hits != 2 || st.Puts != 1 {
+		t.Fatalf("disk cache stats %+v, want the cold plan's put and the two warm plans' hits", st)
+	}
+}
+
+// TestReadPlanRequestMatchesDecoder: the handler's body read returns what
+// json.Decoder returns reading the same size-limited body, value and
+// error, whether the strict submit parse takes the body or declines it.
+func TestReadPlanRequestMatchesDecoder(t *testing.T) {
+	submit := vexsmt.AppendPlanSubmit(nil, &vexsmt.PlanSubmit{Cells: []vexsmt.CellSpec{
+		{Mix: "llll", Technique: "SMT", Threads: 2, Predictor: "tage"}}, Scale: 4000, Seed: 18446744073709551557, Cache: "off"})
+	const limit = 1 << 20
+	for _, body := range []string{
+		string(submit),
+		`{"cells":null,"scale":-1,"seed":0}`,
+		`{"cells":[],"scale":1,"seed":2}`,
+		string(submit) + "trailing bytes",
+		string(submit) + strings.Repeat(" ", limit),
+		`{"cells":[],"scale":1,"seed":2,"workloads":["` + strings.Repeat("x", limit) + `"]}`,
+		`{"CELLS":[],"scale":1,"seed":2}`,
+		`{"figures":["14"],"parallelism":3}`,
+		`{"cells":[],"scale":1,"seed":18446744073709551616}`,
+		`{"cells":[`,
+		``,
+	} {
+		read := func() io.ReadCloser {
+			return http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(strings.NewReader(body)), limit)
+		}
+		var want planRequest
+		werr := json.NewDecoder(read()).Decode(&want)
+		got, err := readPlanRequest(read())
+		short := body
+		if len(short) > 80 {
+			short = short[:80] + "..."
+		}
+		if fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Fatalf("body %q: error %v, json.Decoder %v", short, err, werr)
+		}
+		if werr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("body %q: %+v, json.Decoder %+v", short, got, want)
+		}
 	}
 }

@@ -153,6 +153,40 @@ func parseAck(line []byte) (PlanAck, bool) {
 	return a, p.done()
 }
 
+// ParsePlanSubmit decodes a /v1/plans body written by AppendPlanSubmit.
+// It reports false for any other bytes, including every body only
+// encoding/json writes; the caller then decodes them with encoding/json,
+// so what a daemon accepts, and what it decodes, does not depend on
+// which path read the body.
+func ParsePlanSubmit(body []byte) (PlanSubmit, bool) {
+	var s PlanSubmit
+	p := parser{b: body}
+	p.lit(`{"cells":`)
+	if !p.opt("null") {
+		p.lit("[")
+		s.Cells = []CellSpec{}
+		for !p.bad && !p.opt("]") {
+			if len(s.Cells) > 0 {
+				p.lit(",")
+			}
+			var c CellSpec
+			p.lit("{")
+			p.specFields(&c)
+			p.lit("}")
+			s.Cells = append(s.Cells, c)
+		}
+	}
+	p.lit(`,"scale":`)
+	s.Scale = p.int64()
+	p.lit(`,"seed":`)
+	s.Seed = p.uint(math.MaxUint64)
+	if p.opt(`,"cache":`) {
+		s.Cache = p.nonEmptyStr()
+	}
+	p.lit("}")
+	return s, p.done()
+}
+
 // ParseStreamLine decodes one plan-stream line after the ack: a cell or
 // the terminal status.
 func ParseStreamLine(line []byte) (StreamLine, error) {

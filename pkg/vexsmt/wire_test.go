@@ -15,9 +15,10 @@ import (
 
 // FuzzCellCodecMatchesJSON holds the wire codec to encoding/json from both
 // sides. For arbitrary bytes, each fast parser (cell line, ack, status,
-// disk payload) that accepts must decode what json.Unmarshal decodes into
-// the same type, and each exported parser must accept and reject exactly
-// what encoding/json does. For records built from the fuzz inputs, each
+// disk payload, submit body) that accepts must decode what json.Unmarshal
+// decodes into the same type, and each exported parser that falls back
+// to encoding/json must accept and reject exactly what encoding/json
+// does. For records built from the fuzz inputs, each
 // appender must write json.Marshal's bytes (or fail where it fails), take
 // its fast path whenever the record's strings need no escaping, and its
 // output must come back through the fast parser unchanged.
@@ -31,10 +32,17 @@ func FuzzCellCodecMatchesJSON(f *testing.F) {
 		Parallelism: 2, Techniques: strings.Join(Techniques(), ",")}})
 	status := AppendStatusLine(nil, &PlanStatus{Cells: 144, Completed: 143, Error: "x: boom", Status: "failed"})
 	run := encodeRun(&stats.Run{Cycles: 9, Ops: -3, Branches: math.MinInt64})
+	submit := AppendPlanSubmit(nil, &PlanSubmit{Cells: []CellSpec{cell.CellSpec,
+		{Technique: "SMT", Threads: 2, Workload: "fir@0123abcd"}}, Scale: -4000, Seed: seed20, Cache: "off"})
+	nullCells := AppendPlanSubmit(nil, &PlanSubmit{Scale: 20000, Seed: 1})
 	for _, data := range [][]byte{line, ack, status, run, bytes.TrimSpace(line), bytes.TrimSpace(ack), bytes.TrimSpace(status),
+		submit, nullCells,
 		[]byte(`{"mix":"mmhh","technique":"SMT","threads":2,"seed":7,"ipc":1.5}`),
 		[]byte(`{"MIX":"mmhh","technique":"SMT","threads":2,"seed":7,"ipc":1.5,"counters":{}}`),
 		[]byte(`{"status":"done"}`),
+		[]byte(`{"cells":[{"mix":"llll","technique":"SMT","threads":2}],"SCALE":400,"seed":1}`),
+		[]byte(`{"cells":[],"scale":400,"seed":1,"seed":2}`),
+		append(bytes.Clone(nullCells), ` {"cells":[]}`...),
 	} {
 		f.Add(data, "llhh", "SMT", 1.5, int64(400), uint64(seed20), uint(0))
 	}
@@ -92,6 +100,10 @@ func FuzzCellCodecMatchesJSON(f *testing.F) {
 		if _, fast := appendSubmit(nil, &submit); fast != wantFast {
 			t.Fatalf("submit %+v: fast path %v, want %v", submit, fast, wantFast)
 		}
+		if back, ok := ParsePlanSubmit(want); wantFast && (!ok || !reflect.DeepEqual(back, submit)) {
+			t.Fatalf("submit %s: fast parse %v gave %+v, want %+v", want, ok, back, submit)
+		}
+		checkParsers(t, want)
 
 		var r stats.Run
 		fillInts(&r, n, flags)
@@ -194,6 +206,9 @@ func checkParsers(t *testing.T, data []byte) {
 	var r stats.Run
 	if parseRun(data, &r) {
 		matchJSON(t, "run payload", data, r)
+	}
+	if s, ok := ParsePlanSubmit(data); ok {
+		matchJSON(t, "plan submit", data, s)
 	}
 
 	l, err := ParseStreamLine(data)
@@ -334,6 +349,33 @@ func BenchmarkCellLine(b *testing.B) {
 		reportPerCell(b, func() {
 			var l StreamLine
 			_ = json.Unmarshal(line, &l)
+		})
+	})
+}
+
+// BenchmarkPlanSubmit times reading one /v1/plans body as a daemon
+// does: fast is a coordinator's one-cell submission through
+// ParsePlanSubmit; fallback is the same plan with a space after the
+// first colon, which the fast parse declines and encoding/json decodes.
+func BenchmarkPlanSubmit(b *testing.B) {
+	body := AppendPlanSubmit(nil, &PlanSubmit{Cells: []CellSpec{benchCell.CellSpec}, Scale: 4000, Seed: benchCell.Seed})
+	spaced := bytes.Replace(body, []byte(":"), []byte(": "), 1)
+	b.Run("fast", func(b *testing.B) {
+		reportPerCell(b, func() {
+			if _, ok := ParsePlanSubmit(body); !ok {
+				b.Fatalf("fast parse declined %s", body)
+			}
+		})
+	})
+	b.Run("fallback", func(b *testing.B) {
+		reportPerCell(b, func() {
+			if _, ok := ParsePlanSubmit(spaced); ok {
+				b.Fatalf("fast parse accepted %s", spaced)
+			}
+			var p PlanSubmit
+			if err := json.NewDecoder(bytes.NewReader(spaced)).Decode(&p); err != nil {
+				b.Fatal(err)
+			}
 		})
 	})
 }
