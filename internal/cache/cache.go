@@ -28,6 +28,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cache: non-positive geometry %+v", c)
 	case c.LineBytes&(c.LineBytes-1) != 0:
 		return fmt.Errorf("cache: line size %d not a power of two", c.LineBytes)
+	case c.Ways > 64:
+		return fmt.Errorf("cache: %d ways exceed the 64-way hit mask", c.Ways)
 	case c.SizeBytes%(c.LineBytes*c.Ways) != 0:
 		return fmt.Errorf("cache: size %d not divisible by way size", c.SizeBytes)
 	}
@@ -118,35 +120,90 @@ func (c *Cache) Stats() Stats { return c.stats }
 
 // lookup returns addr's set and its line key.
 func (c *Cache) lookup(addr uint64) (set []line, key uint64) {
-	l := addr >> c.lineBits
+	l := addr >> (c.lineBits & 63) // both shifts are below 64; the masks say so to the compiler
 	base := int(l&c.setMask) * c.ways
-	return c.lines[base : base+c.ways : base+c.ways], l>>c.setBits + 1
+	return c.lines[base : base+c.ways : base+c.ways], l>>(c.setBits&63) + 1
 }
 
 // Access looks up addr, updating LRU state and allocating on miss
 // (write-allocate for stores, which matches a blocking first-level cache
 // with fetch-on-write). It returns true on hit. The victim is the last
-// invalid way, else the first way with the smallest stamp.
+// invalid way, else the way with the smallest stamp.
+//
+// Which way of the set holds addr is the simulated program's random
+// outcome, so the lookup never branches on it: it builds a hit mask and
+// takes the way from TrailingZeros. The one branch is hit against miss,
+// which the host predicts (misses are rare) and which keeps the victim
+// search off the hit path: were every access to pick the victim from the
+// stamps, each access to a set would wait on the previous one's stamp
+// store.
 func (c *Cache) Access(addr uint64) bool {
 	c.stats.Accesses++
 	set, key := c.lookup(addr)
 	c.clock++
-	victim, victimStamp := 0, set[0].stamp
-	for w := range set {
-		l := &set[w]
-		if l.key == key {
-			l.stamp = c.clock
-			return true
-		}
-		if l.key == 0 {
-			victim, victimStamp = w, 0
-		} else if l.stamp < victimStamp {
-			victim, victimStamp = w, l.stamp
-		}
+	var hit uint64
+	if len(set) == 4 { // the paper's set: four compares
+		s := (*[4]line)(set)
+		hit = b2u(s[0].key == key) | b2u(s[1].key == key)<<1 | b2u(s[2].key == key)<<2 | b2u(s[3].key == key)<<3
+	} else {
+		hit = match(set, key)
+	}
+	if hit != 0 {
+		set[bits.TrailingZeros64(hit)].stamp = c.clock
+		return true
 	}
 	c.stats.Misses++
-	set[victim] = line{key: key, stamp: c.clock}
+	set[oldest(set)] = line{key: key, stamp: c.clock}
 	return false
+}
+
+// match returns the mask of set's ways holding key.
+func match(set []line, key uint64) uint64 {
+	var hit uint64
+	for w := range set {
+		hit |= b2u(set[w].key == key) << uint(w)
+	}
+	return hit
+}
+
+// oldest returns set's victim: the way with the smallest stamp, ties
+// going to the later way. An invalid line has stamp 0 and a valid one a
+// distinct stamp of at least 1, so that is the last invalid way when
+// there is one. A 4-way set is a two-level tournament of conditional
+// moves.
+func oldest(set []line) int {
+	if len(set) == 4 {
+		s := (*[4]line)(set)
+		lo, loStamp := 0, s[0].stamp
+		if s[1].stamp <= loStamp {
+			lo, loStamp = 1, s[1].stamp
+		}
+		hi, hiStamp := 2, s[2].stamp
+		if s[3].stamp <= hiStamp {
+			hi, hiStamp = 3, s[3].stamp
+		}
+		if hiStamp <= loStamp {
+			return hi
+		}
+		return lo
+	}
+	w, stamp := 0, set[0].stamp
+	for i := range set {
+		if set[i].stamp <= stamp {
+			w, stamp = i, set[i].stamp
+		}
+	}
+	return w
+}
+
+// b2u is 1 for true and 0 for false; the compiler lowers it to a flag
+// set, not a branch.
+func b2u(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
 }
 
 // AccessPenalty performs Access and returns the stall penalty in cycles:
@@ -162,12 +219,7 @@ func (c *Cache) AccessPenalty(addr uint64) int {
 // statistics and without allocating.
 func (c *Cache) Probe(addr uint64) bool {
 	set, key := c.lookup(addr)
-	for w := range set {
-		if set[w].key == key {
-			return true
-		}
-	}
-	return false
+	return match(set, key) != 0
 }
 
 // Flush invalidates all lines and clears statistics. Used at context-switch

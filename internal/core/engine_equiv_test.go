@@ -339,3 +339,106 @@ func TestSkipCyclesMatchesDeadCycles(t *testing.T) {
 		}
 	}
 }
+
+// FuzzEngineMatchesReference drives the engine's load path (LoadFrom with
+// a random rotation) and refEngine (loaded with the rotated copy) in
+// lockstep from one fuzzed seed: any technique, 1–8 clusters, 1–8
+// threads, per-cluster resources drawn from the seed, demands up to one
+// past each resource (so some bundles never fit), random ready masks and
+// dead-cycle skips. Every cycle's defined result, every thread's Active
+// and Started, and every Remaining must match.
+func FuzzEngineMatchesReference(f *testing.F) {
+	for i := range AllTechniques() {
+		f.Add(uint8(i), uint8(3), uint8(3), uint64(i)*0x9e37)
+	}
+	f.Add(uint8(6), uint8(7), uint8(7), uint64(0x51d1))
+	f.Add(uint8(1), uint8(0), uint8(0), uint64(7))
+	f.Fuzz(func(t *testing.T, techIdx, clusters, threads uint8, seed uint64) {
+		techs := AllTechniques()
+		tech := techs[int(techIdx)%len(techs)]
+		r := rng.New(seed)
+		g := isa.Geometry{
+			Clusters:   1 + int(clusters)%isa.MaxClusters,
+			IssueWidth: 1 + r.Intn(8),
+			ALUs:       1 + r.Intn(8),
+			Muls:       r.Intn(4),
+			MemUnits:   r.Intn(3),
+		}
+		nt := 1 + int(threads)%MaxThreads
+		fast, err := NewEngine(g, tech, nt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefEngine(g, tech, nt)
+		n := g.Clusters
+		var res CycleResult
+		var dead [MaxThreads]bool
+		for cycle := 0; cycle < 2000; cycle++ {
+			for th := 0; th < nt; th++ {
+				if !fast.Active(th) {
+					d := fuzzDemand(r, g)
+					by := r.Intn(n)
+					fast.LoadFrom(th, &d, d.Summary(), by)
+					ref.Load(th, d.Rotate(by, n))
+				}
+			}
+			if r.Bool(0.1) {
+				k := int64(1 + r.Intn(5))
+				fast.SkipCycles(k)
+				for i := int64(0); i < k; i++ {
+					ref.Cycle(&dead)
+				}
+			}
+			readyMask := uint8(r.Uint64())
+			var ready [MaxThreads]bool
+			for th := range ready {
+				ready[th] = readyMask&(1<<uint(th)) != 0
+			}
+			fast.CycleMask(readyMask, &res)
+			want := ref.Cycle(&ready)
+			if !sameCycle(&res, &want, nt, n) {
+				t.Fatalf("%s %v %dT cycle %d:\n got %+v\nwant %+v", tech.Name(), g, nt, cycle, res, want)
+			}
+			for th := 0; th < nt; th++ {
+				st := &ref.state[th]
+				if fast.Active(th) != st.active || fast.Started(th) != (st.active && st.started) {
+					t.Fatalf("%s %v %dT cycle %d: thread %d active/started %v/%v, reference %v/%v",
+						tech.Name(), g, nt, cycle, th, fast.Active(th), fast.Started(th), st.active, st.started)
+				}
+				for c := 0; c < isa.MaxClusters; c++ {
+					if got := fast.Remaining(th, c); got != st.remaining[c] {
+						t.Fatalf("%s %v %dT cycle %d: Remaining(%d, %d) = %+v, reference %+v",
+							tech.Name(), g, nt, cycle, th, c, got, st.remaining[c])
+					}
+				}
+			}
+		}
+	})
+}
+
+// fuzzDemand draws an instruction whose bundles may exceed each per-
+// cluster resource by one, with Ops = ALU+Mul+Mem, a load or store flag
+// exactly on bundles with a memory operation, and send/recv on some
+// bundles with an ALU operation.
+func fuzzDemand(r *rng.Rand, g isa.Geometry) isa.InstrDemand {
+	var d isa.InstrDemand
+	for c := 0; c < g.Clusters; c++ {
+		if r.Bool(0.4) {
+			continue
+		}
+		b := isa.BundleDemand{
+			ALU: uint8(r.Intn(g.ALUs + 2)),
+			Mul: uint8(r.Intn(g.Muls + 2)),
+			Mem: uint8(r.Intn(g.MemUnits + 2)),
+		}
+		b.Ops = b.ALU + b.Mul + b.Mem
+		if b.Mem > 0 {
+			b.Load = r.Bool(0.6)
+			b.Stor = !b.Load
+		}
+		b.Comm = b.ALU > 0 && r.Bool(0.2)
+		d.HasComm = d.HasComm || b.Comm
+		d.B[c] = b
+	}
+	return d
+}

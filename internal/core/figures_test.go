@@ -58,10 +58,20 @@ func schedule(t *testing.T, geom isa.Geometry, tech Technique, queues [][]isa.In
 		if done {
 			break
 		}
+		var before [MaxThreads][isa.MaxClusters]isa.BundleDemand
+		for th := range queues {
+			for c := 0; c < geom.Clusters; c++ {
+				before[th][c] = eng.Remaining(th, c)
+			}
+		}
 		res := eng.Cycle(&ready)
-		// Invariant: the packet never exceeds per-cluster resources.
+		// Invariant: the packet never exceeds per-cluster resources. What
+		// issued at a cluster is what left the threads' remaining demand.
 		for c := 0; c < geom.Clusters; c++ {
-			u := eng.PacketUsed(c)
+			var u isa.BundleDemand
+			for th := range queues {
+				u = addDemand(u, subDemand(before[th][c], eng.Remaining(th, c)))
+			}
 			if int(u.Ops) > geom.IssueWidth || int(u.ALU) > geom.ALUs ||
 				int(u.Mul) > geom.Muls || int(u.Mem) > geom.MemUnits {
 				t.Fatalf("cycle %d: cluster %d over-subscribed: %+v", cycle, c, u)

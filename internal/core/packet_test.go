@@ -123,7 +123,7 @@ func TestTakeOpsProperty(t *testing.T) {
 		if take.ALU > rem.ALU || take.Mul > rem.Mul || take.Mem > rem.Mem {
 			return false
 		}
-		sum := pre.Add(take)
+		sum := addDemand(pre, take)
 		return int(sum.Ops) <= g.IssueWidth && int(sum.ALU) <= g.ALUs &&
 			int(sum.Mul) <= g.Muls && int(sum.Mem) <= g.MemUnits
 	}

@@ -2,25 +2,21 @@ package core
 
 import "vexsmt/internal/isa"
 
-// Packet is the execution packet being assembled for one cycle: the
-// resources already claimed at every cluster. The collision-detection logic
-// (CL in Figure 7) checks a candidate bundle against the packet; the merge
-// logic (ML) then adds it.
+// Packet is the reference model of the execution packet being assembled
+// for one cycle: the resources already claimed at every cluster, checked
+// and merged one field at a time. The collision-detection logic (CL in
+// Figure 7) checks a candidate bundle against the packet; the merge logic
+// (ML) then adds it. The engine computes the same decisions with cluster
+// masks and lane words; refEngine (engine_equiv_test.go) and the figure
+// tests drive this model so the two can be compared.
 //
 // The per-cluster scratch is epoch-stamped: Reset is a single counter
-// increment, and a cluster's claimed resources are live only when its stamp
-// matches the current epoch. The per-geometry resource limits are lowered
-// into flat fields at construction so the per-cycle fit checks never
-// consult the Geometry struct.
+// increment, and a cluster's claimed resources are live only when its
+// stamp matches the current epoch.
 type Packet struct {
-	geom     isa.Geometry
 	clusters int
-	// Lowered per-cluster limits (NewPacket time).
+	// Per-cluster limits (NewPacket time).
 	width, alus, muls, mems int
-	// clusterMerge selects cluster-granularity collision detection for the
-	// unexported fast path (newPacketFor); the public FitsBundle still takes
-	// the policy as an argument.
-	clusterMerge bool
 
 	epoch uint32
 	stamp [isa.MaxClusters]uint32
@@ -29,23 +25,14 @@ type Packet struct {
 
 // NewPacket returns an empty packet for the given machine geometry.
 func NewPacket(geom isa.Geometry) *Packet {
-	p := &Packet{}
-	p.init(geom, false)
-	return p
-}
-
-// init lowers the geometry into flat limit fields; the zero epoch state
-// (epoch 1, all stamps 0) reads as an empty packet.
-func (p *Packet) init(geom isa.Geometry, clusterMerge bool) {
-	p.geom = geom
-	p.clusters = geom.Clusters
-	p.width = geom.IssueWidth
-	p.alus = geom.ALUs
-	p.muls = geom.Muls
-	p.mems = geom.MemUnits
-	p.clusterMerge = clusterMerge
-	p.epoch = 1
-	p.stamp = [isa.MaxClusters]uint32{}
+	return &Packet{
+		clusters: geom.Clusters,
+		width:    geom.IssueWidth,
+		alus:     geom.ALUs,
+		muls:     geom.Muls,
+		mems:     geom.MemUnits,
+		epoch:    1, // with all stamps 0: an empty packet
+	}
 }
 
 // Reset empties the packet for a new cycle: one increment, no clearing loop.
@@ -87,15 +74,6 @@ func (p *Packet) FitsBundle(c int, d isa.BundleDemand, merge MergePolicy) bool {
 	return p.fitsOps(c, &d)
 }
 
-// fits is the fast-path collision check under the packet's own lowered
-// merge policy. d must be non-empty.
-func (p *Packet) fits(c int, d *isa.BundleDemand) bool {
-	if p.clusterMerge {
-		return !p.live(c)
-	}
-	return p.fitsOps(c, d)
-}
-
 // fitsOps checks d against the free operation-level resources of cluster c.
 func (p *Packet) fitsOps(c int, d *isa.BundleDemand) bool {
 	if !p.live(c) {
@@ -132,59 +110,14 @@ func (p *Packet) AddBundle(c int, d isa.BundleDemand) {
 	p.add(c, &d)
 }
 
-// add is AddBundle without the empty check (fast-path callers only hold
-// non-empty demands).
+// add is AddBundle without the empty check.
 func (p *Packet) add(c int, d *isa.BundleDemand) {
 	if !p.live(c) {
 		p.used[c] = *d
 		p.stamp[c] = p.epoch
 		return
 	}
-	p.used[c] = p.used[c].Add(*d)
-}
-
-// tryAddCM is the fused collision-check-and-merge for cluster-granularity
-// merging: a cluster carries at most one thread per cycle, so a non-empty
-// bundle joins exactly when the cluster is still stale this epoch.
-func (p *Packet) tryAddCM(c int, d *isa.BundleDemand) bool {
-	if p.live(c) {
-		return false
-	}
-	p.used[c] = *d
-	p.stamp[c] = p.epoch
-	return true
-}
-
-// tryAddOM is the fused collision-check-and-merge for operation-
-// granularity merging: one pass over the cluster's claimed resources
-// instead of a fits check followed by an add.
-func (p *Packet) tryAddOM(c int, d *isa.BundleDemand) bool {
-	if !p.live(c) {
-		if int(d.Ops) <= p.width &&
-			int(d.ALU) <= p.alus &&
-			int(d.Mul) <= p.muls &&
-			int(d.Mem) <= p.mems {
-			p.used[c] = *d
-			p.stamp[c] = p.epoch
-			return true
-		}
-		return false
-	}
-	u := &p.used[c]
-	if int(u.Ops)+int(d.Ops) > p.width ||
-		int(u.ALU)+int(d.ALU) > p.alus ||
-		int(u.Mul)+int(d.Mul) > p.muls ||
-		int(u.Mem)+int(d.Mem) > p.mems {
-		return false
-	}
-	u.Ops += d.Ops
-	u.ALU += d.ALU
-	u.Mul += d.Mul
-	u.Mem += d.Mem
-	u.Load = u.Load || d.Load
-	u.Stor = u.Stor || d.Stor
-	u.Comm = u.Comm || d.Comm
-	return true
+	p.used[c] = addDemand(p.used[c], *d)
 }
 
 // SlackOps returns the free issue slots remaining at cluster c.
@@ -262,4 +195,31 @@ func min3(a, b, c int) int {
 		return 0
 	}
 	return a
+}
+
+// subDemand returns d minus take (component-wise), clearing satisfied
+// flags. take must be a sub-demand of d.
+func subDemand(d, take isa.BundleDemand) isa.BundleDemand {
+	out := isa.BundleDemand{
+		Ops: d.Ops - take.Ops,
+		ALU: d.ALU - take.ALU,
+		Mul: d.Mul - take.Mul,
+		Mem: d.Mem - take.Mem,
+	}
+	if out.Mem > 0 {
+		out.Load = d.Load
+		out.Stor = d.Stor
+	}
+	if d.Comm && out.ALU > 0 {
+		out.Comm = true
+	}
+	return out
+}
+
+// addDemand returns the component-wise sum of two demands.
+func addDemand(d, o isa.BundleDemand) isa.BundleDemand {
+	return isa.BundleDemand{
+		Ops: d.Ops + o.Ops, ALU: d.ALU + o.ALU, Mul: d.Mul + o.Mul, Mem: d.Mem + o.Mem,
+		Load: d.Load || o.Load, Stor: d.Stor || o.Stor, Comm: d.Comm || o.Comm,
+	}
 }

@@ -44,7 +44,7 @@ func TestLoadFromRenamesByIndex(t *testing.T) {
 						}
 						d := &streams[th][next[th]]
 						next[th]++
-						byIndex.LoadFrom(th, d, d.UsedClusters(), by)
+						byIndex.LoadFrom(th, d, d.Summary(), by)
 						rotated.Load(th, d.Rotate(by, n))
 					}
 					for th := 0; th < threads; th++ {

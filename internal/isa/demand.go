@@ -19,14 +19,6 @@ type BundleDemand struct {
 // IsEmpty reports whether the bundle demands nothing.
 func (d BundleDemand) IsEmpty() bool { return d.Ops == 0 }
 
-// Add returns the component-wise sum of two demands.
-func (d BundleDemand) Add(o BundleDemand) BundleDemand {
-	return BundleDemand{
-		Ops: d.Ops + o.Ops, ALU: d.ALU + o.ALU, Mul: d.Mul + o.Mul, Mem: d.Mem + o.Mem,
-		Load: d.Load || o.Load, Stor: d.Stor || o.Stor, Comm: d.Comm || o.Comm,
-	}
-}
-
 // FitsAlone reports whether the demand fits the per-cluster resources on an
 // otherwise empty cluster.
 func (d BundleDemand) FitsAlone(g Geometry) bool {
@@ -87,6 +79,36 @@ func (d *InstrDemand) NumOps() int {
 		n += int(d.B[c].Ops)
 	}
 	return n
+}
+
+// Summary condenses an instruction demand into the words the issue engine
+// tests with mask arithmetic instead of walking the bundles.
+type Summary struct {
+	Ops    uint64 // byte c: B[c].Ops
+	Live   uint8  // bit c: B[c].Ops > 0
+	Loads  uint8  // bit c: B[c].Load
+	Stores uint8  // bit c: B[c].Stor
+	Comm   uint8  // bit c: B[c].Comm
+}
+
+// Summary returns the demand's Summary.
+func (d *InstrDemand) Summary() Summary {
+	var s Summary
+	for c := range d.B {
+		b := &d.B[c]
+		s.Ops |= uint64(b.Ops) << (8 * uint(c))
+		if b.Load {
+			s.Loads |= 1 << uint(c)
+		}
+		if b.Stor {
+			s.Stores |= 1 << uint(c)
+		}
+		if b.Comm {
+			s.Comm |= 1 << uint(c)
+		}
+	}
+	s.Live = d.UsedClusters()
+	return s
 }
 
 // UsedClusters returns a bitmask of clusters with non-empty demand.

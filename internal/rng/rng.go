@@ -29,6 +29,15 @@ func (r *Rand) Uint64() uint64 {
 	return mix64(r.state)
 }
 
+// Peek returns the value the next Uint64 call will return, without
+// advancing the generator.
+func (r *Rand) Peek() uint64 { return mix64(r.state + 0x9e3779b97f4a7c15) }
+
+// Skip advances the generator by n draws, exactly as n Uint64 calls
+// would. With n computed from a draw's outcome (0 or 1), a caller can
+// consume a draw conditionally without branching.
+func (r *Rand) Skip(n uint64) { r.state += n * 0x9e3779b97f4a7c15 }
+
 // Uint32 returns the next 32-bit pseudo-random value.
 func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
 

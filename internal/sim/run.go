@@ -31,6 +31,19 @@ import (
 // its issue slots provably dead. Completed runs are bit-identical to the
 // one-iteration-per-cycle reference loop (Config.ReferenceLoop), which
 // the differential tests in internal/cosim machine-check.
+//
+// The per-cycle path never branches on a simulated random outcome to
+// choose a value. Which way of a simulated cache set hits, whether a
+// generated memory operation streams, whether a bundle collides, whether
+// a load misses or a branch is taken or mispredicted: the host cannot
+// predict these by construction, so they enter the state as masks, flag
+// bits and conditional moves (cache.Cache.Access, synth.Generator's
+// address draws, core.Engine's issue routines, stall below). A branch is
+// left only where one side does work the other skips altogether, such
+// as retiring an instruction or deferring an engine load behind an
+// ICache miss. Test-only reference models in internal/cache (true LRU),
+// internal/synth and internal/core (the branching originals) hold each
+// lowering to the behaviour it replaced.
 
 // runState holds one run's bookkeeping and reusable per-cycle buffers.
 type runState struct {
@@ -263,20 +276,13 @@ func (s *Simulator) issuePhase(cycle int64, res *core.CycleResult) {
 // split tracking, load stalls, and instruction retirement.
 func (s *Simulator) commitPhase(cycle int64, res *core.CycleResult) {
 	s.run.Cycles++
-	if res.Ops == 0 {
-		s.run.EmptyCycles++
-	} else {
-		s.run.Ops += int64(res.Ops)
-	}
-	if res.Threads >= 2 {
-		s.run.MergedCycles++
-	}
+	s.run.EmptyCycles += b2i(res.Ops == 0)
+	s.run.Ops += int64(res.Ops)
+	s.run.MergedCycles += b2i(res.Threads >= 2)
 	for m := res.Issued; m != 0; m &= m - 1 {
 		t := bits.TrailingZeros8(m)
 		tr := &res.Thread[t]
-		if tr.Split {
-			s.wasSplit |= 1 << uint(t)
-		}
+		s.wasSplit |= uint8(b2i(tr.Split)) << uint(t)
 		s.accountLoads(t, tr, cycle)
 		if tr.LastPart {
 			s.retire(t, cycle)
@@ -288,7 +294,7 @@ func (s *Simulator) commitPhase(cycle int64, res *core.CycleResult) {
 // time and stall the thread on a miss (VEX less-than-or-equal semantics).
 // LoadsAt holds renamed clusters; each maps back to its raw address slot.
 func (s *Simulator) accountLoads(t int, tr *core.ThreadResult, cycle int64) {
-	if tr.LoadsAt == 0 || s.cfg.PerfectMemory {
+	if s.cfg.PerfectMemory {
 		return
 	}
 	c := &s.ctxs[t]
@@ -298,15 +304,34 @@ func (s *Simulator) accountLoads(t int, tr *core.ThreadResult, cycle int64) {
 			cl += s.cfg.Geom.Clusters
 		}
 		s.run.DCacheAccesses++
-		if !s.dc.Access(c.ti.MemAddr[cl&(isa.MaxClusters-1)]) {
-			s.run.DCacheMisses++
-			pen := int64(s.cfg.DCache.MissPenalty)
-			if nr := cycle + 1 + pen; nr > s.ready[t] {
-				s.run.MemStallCycles += pen
-				s.ready[t] = nr
-			}
-		}
+		miss := 1 - b2i(s.dc.Access(c.ti.MemAddr[cl&(isa.MaxClusters-1)]))
+		s.run.DCacheMisses += miss
+		s.stall(t, miss, int64(s.cfg.DCache.MissPenalty), cycle, &s.run.MemStallCycles)
 	}
+}
+
+// stall charges thread t a penalty of pen cycles from the next cycle on
+// when on is 1 (and nothing when it is 0), unless it already waits
+// longer; the cycles charged are added to *stalled. It branches on
+// neither.
+func (s *Simulator) stall(t int, on, pen, cycle int64, stalled *int64) {
+	r, nr := s.ready[t], cycle+1+pen
+	longer := on & b2i(nr > r)
+	*stalled += pen * longer
+	if longer != 0 { // a conditional move
+		r = nr
+	}
+	s.ready[t] = r
+}
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag
+// set, not a branch.
+func b2i(b bool) int64 {
+	var i int64
+	if b {
+		i = 1
+	}
+	return i
 }
 
 // retire completes a VLIW instruction on its last issued part: split
@@ -314,10 +339,8 @@ func (s *Simulator) accountLoads(t int, tr *core.ThreadResult, cycle int64) {
 // termination condition.
 func (s *Simulator) retire(t int, cycle int64) {
 	bit := uint8(1) << uint(t)
-	if s.wasSplit&bit != 0 {
-		s.run.SplitInstrs++
-		s.wasSplit &^= bit
-	}
+	s.run.SplitInstrs += int64(s.wasSplit >> uint(t) & 1)
+	s.wasSplit &^= bit
 	c := &s.ctxs[t]
 	s.commitStores(c)
 	s.run.Instrs++
@@ -329,13 +352,7 @@ func (s *Simulator) retire(t int, cycle int64) {
 		// Paper front end: every taken branch pays the fixed penalty. This
 		// branchless-of-predictor path is byte-identical to the pre-bpred
 		// simulator and must stay that way.
-		if c.ti.Taken {
-			pen := int64(s.cfg.TakenBranchPenalty)
-			if nr := cycle + 1 + pen; nr > s.ready[t] {
-				s.run.BranchStallCycles += pen
-				s.ready[t] = nr
-			}
-		}
+		s.stall(t, b2i(c.ti.Taken), int64(s.cfg.TakenBranchPenalty), cycle, &s.run.BranchStallCycles)
 	} else if c.ti.IsBranch {
 		// Modeled front end: the per-context predictor resolves here, at
 		// retire, and mispredicts (either direction) charge the same stall
@@ -343,16 +360,10 @@ func (s *Simulator) retire(t int, cycle int64) {
 		// the wake-queue needs — nextEventCycle reads it directly.
 		s.run.Branches++
 		p := s.preds[t]
-		mispredict := p.Predict(c.ti.PC) != c.ti.Taken
+		mispredict := b2i(p.Predict(c.ti.PC) != c.ti.Taken)
 		p.Update(c.ti.PC, c.ti.Taken)
-		if mispredict {
-			s.run.BranchMispredicts++
-			pen := int64(s.cfg.TakenBranchPenalty)
-			if nr := cycle + 1 + pen; nr > s.ready[t] {
-				s.run.BranchStallCycles += pen
-				s.ready[t] = nr
-			}
-		}
+		s.run.BranchMispredicts += mispredict
+		s.stall(t, mispredict, int64(s.cfg.TakenBranchPenalty), cycle, &s.run.BranchStallCycles)
 	}
 	if c.job.Executed >= s.cfg.LimitInstrs {
 		s.st.done = true
@@ -376,21 +387,17 @@ func (s *Simulator) commitStores(c *ctx) {
 			cl += n
 		}
 		s.run.DCacheAccesses++
-		if !s.dc.Access(c.ti.MemAddr[cl&(isa.MaxClusters-1)]) {
-			s.run.DCacheMisses++ // write-allocate, no stall
-		}
+		s.run.DCacheMisses += 1 - b2i(s.dc.Access(c.ti.MemAddr[cl&(isa.MaxClusters-1)])) // write-allocate, no stall
 	}
 }
 
 // portStallCycles converts delayed-store port overflow into whole-pipeline
 // stall cycles and returns how far the clock must advance.
 func (s *Simulator) portStallCycles(res *core.CycleResult) int64 {
-	over := int64(res.MemPortOverflow(s.cfg.Geom))
-	if over > 0 {
-		s.run.Cycles += over
-		s.run.EmptyCycles += over
-		s.run.MemPortStallCycles += over
-	}
+	over := int64(res.MemPortOverflow(s.cfg.Geom)) // >= 0
+	s.run.Cycles += over
+	s.run.EmptyCycles += over
+	s.run.MemPortStallCycles += over
 	return over
 }
 
@@ -402,7 +409,7 @@ func (s *Simulator) fetch(t int, cycle int64) {
 	bit := uint8(1) << uint(t)
 	if s.have&bit != 0 {
 		if s.loaded&bit == 0 && cycle >= s.ready[t] {
-			s.eng.LoadFrom(t, &c.ti.Demand, c.ti.Live, c.rotation)
+			s.eng.LoadFrom(t, &c.ti.Demand, c.ti.Summary, c.rotation)
 			s.loaded |= bit
 		}
 		return
@@ -433,7 +440,7 @@ func (s *Simulator) fetch(t int, cycle int64) {
 			return
 		}
 	}
-	s.eng.LoadFrom(t, &ti.Demand, ti.Live, c.rotation)
+	s.eng.LoadFrom(t, &ti.Demand, ti.Summary, c.rotation)
 	s.loaded |= bit
 }
 

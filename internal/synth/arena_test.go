@@ -33,9 +33,7 @@ func freshGenerator(t *testing.T, prof Profile, geom isa.Geometry) *Generator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := &Generator{prof: prof, geom: geom, layout: *l}
-	g.Reset(0)
-	return g
+	return newGenerator(prof, geom, l)
 }
 
 // sharesLayout reports whether a and b walk the same backing arrays.

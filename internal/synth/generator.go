@@ -3,6 +3,7 @@ package synth
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"unsafe"
@@ -14,27 +15,16 @@ import (
 // TInst is one trace instruction: the resource demand the issue engine
 // needs plus the addresses the cache models need. It carries no operand
 // values — a statically scheduled VLIW's timing does not depend on them.
-// Live and Stores are cluster masks derived from Demand (Masks), filled
-// by every producer so the fetch path need not rescan the bundles.
+// The embedded Summary is Demand's (isa.InstrDemand.Summary), filled by
+// every producer so the fetch path need not rescan the bundles.
 type TInst struct {
 	Demand   isa.InstrDemand
-	PC       uint64
+	Taken    bool // instruction ends with a taken branch
+	IsBranch bool // instruction ends with a conditional branch (taken or not)
 	Size     uint32
-	Taken    bool  // instruction ends with a taken branch
-	IsBranch bool  // instruction ends with a conditional branch (taken or not)
-	Live     uint8 // bit c: Demand.B[c].Ops > 0
-	Stores   uint8 // bit c: Demand.B[c].Stor
-	MemAddr  [isa.MaxClusters]uint64
-}
-
-// Masks returns the Live and Stores masks of a demand.
-func Masks(d *isa.InstrDemand) (live, stores uint8) {
-	for c := range d.B {
-		if d.B[c].Stor {
-			stores |= 1 << uint(c)
-		}
-	}
-	return d.UsedClusters(), stores
+	PC       uint64
+	isa.Summary
+	MemAddr [isa.MaxClusters]uint64
 }
 
 // Stream produces a deterministic instruction trace.
@@ -117,11 +107,13 @@ const (
 )
 
 // shape is one distinct instruction demand of a layout plus its encoded
-// size in bytes and its TInst masks, all pure functions of the demand.
+// size in bytes, its Summary and its memory-cluster mask, all pure
+// functions of the demand.
 type shape struct {
-	demand       isa.InstrDemand
-	live, stores uint8
-	size         uint32
+	demand isa.InstrDemand
+	mem    uint8 // bit c: demand.B[c].Mem > 0, the clusters that draw a data address
+	size   uint32
+	sum    isa.Summary
 }
 
 // layout is a benchmark's code image: the template bodies of its loop
@@ -201,12 +193,46 @@ type Generator struct {
 	prof Profile
 	geom isa.Geometry
 	layout
+	addrGen
 
 	dyn       *rng.Rand // dynamic decisions: taken, iteration counts, data addresses
 	ri        int       // current region
 	pos       int       // position in region body
 	itersLeft int
-	streamPos uint64
+	streamOff uint64 // streaming-buffer cursor, in [0, wrap)
+}
+
+// addrGen is a profile's data-address model lowered at NewGenerator so
+// that address draws need no branch (see Generator.address). The stream
+// coin is rng.Bool(StreamFrac): no draw at StreamFrac <= 0 or >= 1,
+// otherwise one draw compared as Float64() < StreamFrac, which is the
+// integer test draw>>11 < coinBelow.
+type addrGen struct {
+	coinDraws  uint64 // 1 when the coin consumes a draw
+	coinBelow  uint64 // the coin says stream when draw>>11 < coinBelow
+	alwaysOn   uint64 // 1 when the coin says stream without a draw
+	wrap       uint64 // streaming-buffer size in bytes (>= 64)
+	foot       uint64 // random-access footprint in bytes (>= 64)
+	randomBase uint64 // where the random-access footprint starts
+}
+
+func newAddrGen(prof Profile) addrGen {
+	a := addrGen{
+		wrap:       max(uint64(prof.StreamKB)*1024, 64),
+		foot:       max(uint64(prof.DataKB)*1024, 64),
+		randomBase: dataBase + uint64(prof.StreamKB)*1024,
+	}
+	switch p := prof.StreamFrac; {
+	case p <= 0:
+	case p >= 1:
+		a.alwaysOn = 1
+	default: // including NaN, where Float64() < p is always false
+		a.coinDraws = 1
+		if p > 0 {
+			a.coinBelow = uint64(math.Ceil(p * (1 << 53)))
+		}
+	}
+	return a
 }
 
 // NewGenerator returns a generator over the (deterministic) code layout
@@ -232,9 +258,14 @@ func NewGenerator(prof Profile, geom isa.Geometry) (*Generator, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &Generator{prof: prof, geom: geom, layout: *l}
+	return newGenerator(prof, geom, l), nil
+}
+
+// newGenerator returns a primed generator over layout l.
+func newGenerator(prof Profile, geom isa.Geometry, l *layout) *Generator {
+	g := &Generator{prof: prof, geom: geom, layout: *l, addrGen: newAddrGen(prof)}
 	g.Reset(0)
-	return g, nil
+	return g
 }
 
 // MustNewGenerator panics on error (known-good catalog profiles).
@@ -285,7 +316,7 @@ func (g *Generator) Reset(variant uint64) {
 	g.ri = 0
 	g.pos = 0
 	g.itersLeft = g.jitterIters(g.prof.LoopIters)
-	g.streamPos = 0
+	g.streamOff = 0
 }
 
 // codeBaseOf is where a profile's code image starts: codeBase plus a
@@ -341,8 +372,13 @@ func (k layoutKey) build() (*layout, error) {
 				}
 				idx = uint16(len(shapes))
 				index[d] = idx
-				live, stores := Masks(&d)
-				shapes = append(shapes, shape{demand: d, live: live, stores: stores, size: size})
+				var mem uint8
+				for c := range d.B {
+					if d.B[c].Mem > 0 {
+						mem |= 1 << uint(c)
+					}
+				}
+				shapes = append(shapes, shape{demand: d, sum: d.Summary(), mem: mem, size: size})
 			}
 			body = append(body, template{pc: uint32(pc), shape: idx, br: br})
 			pc += uint64(size)
@@ -530,30 +566,12 @@ func (g *Generator) step(body []template, t *TInst) {
 	t.Size = sh.size
 	t.Taken = false
 	t.IsBranch = tm.br != brNone
-	t.Live = sh.live
-	t.Stores = sh.stores
+	t.Summary = sh.sum
 
 	// Data addresses for the cache model.
-	for c := 0; c < g.geom.Clusters; c++ {
-		if sh.demand.B[c].Mem == 0 {
-			t.MemAddr[c] = 0
-			continue
-		}
-		if g.dyn.Bool(g.prof.StreamFrac) {
-			wrap := uint64(g.prof.StreamKB) * 1024
-			if wrap < 64 {
-				wrap = 64
-			}
-			t.MemAddr[c] = dataBase + (g.streamPos % wrap)
-			g.streamPos += 4
-		} else {
-			foot := uint64(g.prof.DataKB) * 1024
-			if foot < 64 {
-				foot = 64
-			}
-			t.MemAddr[c] = dataBase + uint64(g.prof.StreamKB)*1024 +
-				(g.dyn.Uint64n(foot) &^ 3)
-		}
+	t.MemAddr = [isa.MaxClusters]uint64{}
+	for m := sh.mem; m != 0; m &= m - 1 {
+		t.MemAddr[bits.TrailingZeros8(m)&(isa.MaxClusters-1)] = g.address()
 	}
 
 	// Advance control flow.
@@ -589,6 +607,45 @@ func (g *Generator) step(body []template, t *TInst) {
 	if g.pos >= len(body) {
 		g.pos = 0 // defensive; back-edge handling should prevent this
 	}
+}
+
+// address draws one memory operation's data address: with probability
+// StreamFrac the next word of the streaming buffer, otherwise a random
+// word of the random-access footprint. Whether an access streams is the
+// simulated program's random outcome, so the choice never branches: the
+// random offset is computed from the draw after the coin, which the
+// generator consumes only when the coin says random. The draw sequence is
+// exactly that of
+//
+//	if dyn.Bool(StreamFrac) { stream } else { random: dyn.Uint64n(foot) }
+func (g *Generator) address() uint64 {
+	coin := g.dyn.Peek()
+	stream := g.alwaysOn | g.coinDraws&b2u(coin>>11 < g.coinBelow)
+	g.dyn.Skip(g.coinDraws)
+	off := g.dyn.Peek() % g.foot &^ 3
+	g.dyn.Skip(1 - stream)
+
+	at := g.streamOff
+	next := at + 4*stream
+	if next == g.wrap { // offsets are multiples of 4 below wrap
+		next = 0
+	}
+	g.streamOff = next
+	addr := g.randomBase + off
+	if stream != 0 {
+		addr = dataBase + at
+	}
+	return addr
+}
+
+// b2u is 1 for true and 0 for false; the compiler lowers it to a flag
+// set, not a branch.
+func b2u(b bool) uint64 {
+	var u uint64
+	if b {
+		u = 1
+	}
+	return u
 }
 
 // MeasuredShape summarizes a sample of the stream; used by calibration

@@ -239,8 +239,8 @@ func TestRejectsBadProfiles(t *testing.T) {
 
 // TestGeneratorMasks checks that every instruction a catalog or vector
 // profile's generator emits, through Next and through NextN and after a
-// respawn, carries the Live and Stores masks Masks derives from its
-// demand.
+// respawn, carries the Summary (op-count bytes and cluster masks) its
+// demand gives.
 func TestGeneratorMasks(t *testing.T) {
 	g := isa.ST200x4
 	for _, p := range append(Catalog(), VectorCatalog()...) {
@@ -253,9 +253,9 @@ func TestGeneratorMasks(t *testing.T) {
 				gen.Next(&buf[0])
 				for j := range buf {
 					ti := &buf[j]
-					if live, stores := Masks(&ti.Demand); ti.Live != live || ti.Stores != stores {
-						t.Fatalf("%s variant %d instr %d: Live/Stores %04b/%04b, demand gives %04b/%04b",
-							p.Name, variant, i+j, ti.Live, ti.Stores, live, stores)
+					if want := ti.Demand.Summary(); ti.Summary != want {
+						t.Fatalf("%s variant %d instr %d: Summary %+v, demand gives %+v",
+							p.Name, variant, i+j, ti.Summary, want)
 					}
 				}
 			}
@@ -263,12 +263,15 @@ func TestGeneratorMasks(t *testing.T) {
 	}
 }
 
+// TestMasks pins isa.InstrDemand.Summary, which fills TInst.Summary.
 func TestMasks(t *testing.T) {
 	var d isa.InstrDemand
 	d.B[0] = isa.BundleDemand{Ops: 2, ALU: 1, Mem: 1, Stor: true}
 	d.B[2] = isa.BundleDemand{Ops: 1, ALU: 1}
 	d.B[7] = isa.BundleDemand{Ops: 1, Mem: 1, Load: true}
-	if live, stores := Masks(&d); live != 0b1000_0101 || stores != 0b1 {
-		t.Fatalf("Masks = %08b, %08b", live, stores)
+	d.B[2].Comm = true
+	want := isa.Summary{Ops: 1<<56 | 1<<16 | 2, Live: 0b1000_0101, Loads: 0b1000_0000, Stores: 0b1, Comm: 0b100}
+	if got := d.Summary(); got != want {
+		t.Fatalf("Summary = %+v, want %+v", got, want)
 	}
 }

@@ -99,7 +99,7 @@ func referenceRead(r io.Reader) (name string, clusters int, instrs []synth.TInst
 				ti.MemAddr[c] = binary.LittleEndian.Uint64(buf[:8])
 			}
 		}
-		ti.Live, ti.Stores = synth.Masks(&ti.Demand)
+		ti.Summary = ti.Demand.Summary()
 	}
 	return name, clusters, instrs, nil
 }

@@ -283,11 +283,18 @@ func expand(t *synth.TInst, p []byte, mask byte) int {
 		b.Load = q2&1 != 0
 		b.Stor = q2&2 != 0
 		b.Comm = q2&4 != 0
+		t.Ops |= uint64(b.Ops) << (8 * uint(c))
 		if b.Ops != 0 {
 			t.Live |= 1 << uint(c)
 		}
+		if b.Load {
+			t.Loads |= 1 << uint(c)
+		}
 		if b.Stor {
 			t.Stores |= 1 << uint(c)
+		}
+		if b.Comm {
+			t.Comm |= 1 << uint(c)
 		}
 		n += 3
 		if b.Mem != 0 {

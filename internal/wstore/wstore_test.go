@@ -432,8 +432,8 @@ func TestLoadDirFirstErrorDeterministic(t *testing.T) {
 
 // TestCorpusMasks replays every examples/corpus workload, the recorded
 // .vxt traces and the .vex program alike, once through and past the wrap,
-// by Next and by NextN, and checks that each instruction carries the Live
-// and Stores masks synth.Masks derives from its demand.
+// by Next and by NextN, and checks that each instruction carries the
+// Summary its demand gives.
 func TestCorpusMasks(t *testing.T) {
 	traces, err := New().LoadDir("../../examples/corpus")
 	if err != nil {
@@ -453,9 +453,9 @@ func TestCorpusMasks(t *testing.T) {
 			rep.Next(&buf[0])
 			for j := range buf {
 				ti := &buf[j]
-				if live, stores := synth.Masks(&ti.Demand); ti.Live != live || ti.Stores != stores {
-					t.Fatalf("%s instr %d: Live/Stores %08b/%08b, demand gives %08b/%08b",
-						tr.Name, i+j, ti.Live, ti.Stores, live, stores)
+				if want := ti.Demand.Summary(); ti.Summary != want {
+					t.Fatalf("%s instr %d: Summary %+v, demand gives %+v",
+						tr.Name, i+j, ti.Summary, want)
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package vexsmt
 
 import (
 	"fmt"
+	"strconv"
 
 	"vexsmt/internal/bpred"
 	"vexsmt/internal/rng"
@@ -83,12 +84,21 @@ func (c CellSpec) label() string {
 // spelling: "static" for the default front end.
 func (c CellSpec) PredictorName() string { return publicPredictor(c.Predictor) }
 
-// keyFields is the identity part of the cell's cache key (see CacheKey).
+// appendKeyFields appends the identity part of the cell's cache key (see
+// CacheKey): mix=<mix>|tech=<technique>|threads=<n>|pred=<predictor>|wl=<workload>.
 // Its layout is frozen for CacheEpoch 3: changing it orphans every stored
 // entry, so any change here comes with an epoch bump.
-func (c CellSpec) keyFields() string {
-	return fmt.Sprintf("mix=%s|tech=%s|threads=%d|pred=%s|wl=%s",
-		c.Mix, c.Technique, c.Threads, internalPredictor(c.Predictor), c.Workload)
+func (c CellSpec) appendKeyFields(b []byte) []byte {
+	b = append(b, "mix="...)
+	b = append(b, c.Mix...)
+	b = append(b, "|tech="...)
+	b = append(b, c.Technique...)
+	b = append(b, "|threads="...)
+	b = strconv.AppendInt(b, int64(c.Threads), 10)
+	b = append(b, "|pred="...)
+	b = append(b, internalPredictor(c.Predictor)...)
+	b = append(b, "|wl="...)
+	return append(b, c.Workload...)
 }
 
 // seed derives the deterministic seed of the canonical cell from the

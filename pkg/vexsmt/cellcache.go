@@ -3,7 +3,7 @@ package vexsmt
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 )
 
 // CellCache is the content-addressed result cache a Service consults
@@ -96,9 +96,26 @@ const CacheEpoch = 3
 // arriving with either spelling addresses the same entry. The workload is
 // keyed as the full "name@sha256" content reference ("" for synthetic
 // mixes), so the trace bytes — not the file name — address the entry.
-// The cell's part of the key comes from CellSpec.keyFields.
+// The cell's part of the key comes from CellSpec.appendKeyFields. The
+// digested text is
+//
+//	vexsmt/cell/v<schema>/e<epoch>|seed=<seed>|scale=<scale>|<key fields>
+//
+// built in a stack buffer; only the returned string is allocated.
 func CacheKey(meta RunMeta, spec CellSpec) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("vexsmt/cell/v%d/e%d|seed=%d|scale=%d|%s",
-		meta.SchemaVersion, CacheEpoch, meta.Seed, meta.Scale, spec.keyFields())))
-	return hex.EncodeToString(sum[:])
+	var buf [256]byte
+	b := append(buf[:0], "vexsmt/cell/v"...)
+	b = strconv.AppendInt(b, int64(meta.SchemaVersion), 10)
+	b = append(b, "/e"...)
+	b = strconv.AppendInt(b, CacheEpoch, 10)
+	b = append(b, "|seed="...)
+	b = strconv.AppendUint(b, meta.Seed, 10)
+	b = append(b, "|scale="...)
+	b = strconv.AppendInt(b, meta.Scale, 10)
+	b = append(b, '|')
+	b = spec.appendKeyFields(b)
+	sum := sha256.Sum256(b)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
 }

@@ -617,8 +617,12 @@ func (s *Server) capacity() int {
 
 // axis derives one axis of a resolved plan's cells as a sorted distinct
 // comma-joined list. Empty values (a synthetic cell's workload) are
-// dropped, so an all-synthetic plan has an empty workload axis.
+// dropped, so an all-synthetic plan has an empty workload axis. A
+// one-cell plan's axis is its cell's value, taken without a copy.
 func axis(cells []vexsmt.CellSpec, of func(vexsmt.CellSpec) string) string {
+	if len(cells) == 1 {
+		return of(cells[0])
+	}
 	values := make([]string, len(cells))
 	for i, c := range cells {
 		values[i] = of(c)
