@@ -7,6 +7,8 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+
+	"vexsmt/internal/cond"
 )
 
 // Config describes a cache geometry.
@@ -137,14 +139,21 @@ func (c *Cache) lookup(addr uint64) (set []line, key uint64) {
 // search off the hit path: were every access to pick the victim from the
 // stamps, each access to a set would wait on the previous one's stamp
 // store.
+//
+// The paper's 4-way set, the only one the simulator builds, is four
+// straight-line compares here and a two-level tournament in oldest.
+// Other associativities take match's and oldest's loops, which are
+// about 30% slower on four ways (BenchmarkCacheAccess) and cost a cold
+// sweep about 5%.
 func (c *Cache) Access(addr uint64) bool {
 	c.stats.Accesses++
 	set, key := c.lookup(addr)
 	c.clock++
 	var hit uint64
-	if len(set) == 4 { // the paper's set: four compares
+	if len(set) == 4 { // the paper's set: four straight-line compares
 		s := (*[4]line)(set)
-		hit = b2u(s[0].key == key) | b2u(s[1].key == key)<<1 | b2u(s[2].key == key)<<2 | b2u(s[3].key == key)<<3
+		hit = cond.Bit[uint64](s[0].key == key) | cond.Bit[uint64](s[1].key == key)<<1 |
+			cond.Bit[uint64](s[2].key == key)<<2 | cond.Bit[uint64](s[3].key == key)<<3
 	} else {
 		hit = match(set, key)
 	}
@@ -161,7 +170,7 @@ func (c *Cache) Access(addr uint64) bool {
 func match(set []line, key uint64) uint64 {
 	var hit uint64
 	for w := range set {
-		hit |= b2u(set[w].key == key) << uint(w)
+		hit |= cond.Bit[uint64](set[w].key == key) << uint(w)
 	}
 	return hit
 }
@@ -194,16 +203,6 @@ func oldest(set []line) int {
 		}
 	}
 	return w
-}
-
-// b2u is 1 for true and 0 for false; the compiler lowers it to a flag
-// set, not a branch.
-func b2u(b bool) uint64 {
-	var u uint64
-	if b {
-		u = 1
-	}
-	return u
 }
 
 // AccessPenalty performs Access and returns the stall penalty in cycles:

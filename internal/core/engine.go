@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"vexsmt/internal/cond"
 	"vexsmt/internal/isa"
 )
 
@@ -112,16 +113,6 @@ var byteOnes = func() (t [256]uint64) {
 func sumBytes(x uint64) int {
 	x = x&0x00ff_00ff_00ff_00ff + x>>8&0x00ff_00ff_00ff_00ff
 	return int(x * 0x0001_0001_0001_0001 >> 48)
-}
-
-// b2u is 1 for true and 0 for false; the compiler lowers it to a flag
-// set, not a branch.
-func b2u(b bool) uint8 {
-	var u uint8
-	if b {
-		u = 1
-	}
-	return u
 }
 
 // Engine is the merging hardware plus split-issue state machine. It is
@@ -396,8 +387,8 @@ func (e *Engine) CycleMask(ready uint8, res *CycleResult) {
 			// issue time, free the context); spl: the instruction stays
 			// split-issued (its stores wait in the delay buffer). Each is
 			// 0 or 1.
-			got := b2u(tr.Ops != 0)
-			fin := got & b2u(e.live[t] == 0)
+			got := cond.Bit[uint8](tr.Ops != 0)
+			fin := got & cond.Bit[uint8](e.live[t] == 0)
 			spl := got ^ fin
 			tr.LastPart = fin != 0
 			tr.Split = spl != 0
@@ -441,7 +432,7 @@ func (e *Engine) issued(t int, tr *ThreadResult, issue uint8) {
 // claimed yet, else nothing.
 func (e *Engine) issueWholeCM(t int, tr *ThreadResult) {
 	live := e.live[t]
-	issue := live & -b2u(live&e.claimed == 0)
+	issue := live & -cond.Bit[uint8](live&e.claimed == 0)
 	e.claimed |= issue
 	e.issued(t, tr, issue)
 }
@@ -466,7 +457,7 @@ func (e *Engine) issueWholeOM(t int, tr *ThreadResult) {
 	for c := 0; c < e.clusters; c++ {
 		short |= ^((e.free[c] | guards) - rem[c])
 	}
-	fits := b2u(short&guards == 0)
+	fits := cond.Bit[uint8](short&guards == 0)
 	for c := 0; c < e.clusters; c++ {
 		e.free[c] -= rem[c] & -uint64(fits)
 	}
@@ -482,7 +473,7 @@ func (e *Engine) issueSplitOM(t int, tr *ThreadResult) {
 	var issue uint8
 	for c := 0; c < e.clusters; c++ {
 		x := (e.free[c] | guards) - rem[c]
-		ok := b2u(x&guards == guards) & (live >> uint(c) & 1)
+		ok := cond.Bit[uint8](x&guards == guards) & (live >> uint(c) & 1)
 		e.free[c] -= rem[c] & -uint64(ok)
 		issue |= ok << uint(c)
 	}
@@ -514,19 +505,19 @@ func (e *Engine) issueOpSplit(t int, tr *ThreadResult) {
 		rem[c] = r
 		ops += int(n)
 		bit := uint8(1) << uint(c)
-		got := -b2u(n != 0) & bit
-		mem := -b2u(m != 0) & bit
+		got := -cond.Bit[uint8](n != 0) & bit
+		mem := -cond.Bit[uint8](m != 0) & bit
 		issue |= got
 		loadsAt |= mem & loads
 		storesAt |= mem & stores
 		// A bundle that issued part of itself keeps its load/store flag
 		// only while a memory operation remains, its comm flag only while
 		// an ALU operation does, and its live bit only while any does.
-		noMem := got & -b2u(r>>48 == 0)
+		noMem := got & -cond.Bit[uint8](r>>48 == 0)
 		loads &^= noMem
 		stores &^= noMem
-		comm &^= got & -b2u(r>>16&laneMask == 0)
-		live &^= got & -b2u(r&laneMask == 0)
+		comm &^= got & -cond.Bit[uint8](r>>16&laneMask == 0)
+		live &^= got & -cond.Bit[uint8](r&laneMask == 0)
 	}
 	e.live[t], e.loads[t], e.stores[t], e.comm[t] = live, loads, stores, comm
 	tr.Ops = ops

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"vexsmt/internal/cond"
 	"vexsmt/internal/core"
 	"vexsmt/internal/isa"
 	"vexsmt/internal/rng"
@@ -276,13 +277,13 @@ func (s *Simulator) issuePhase(cycle int64, res *core.CycleResult) {
 // split tracking, load stalls, and instruction retirement.
 func (s *Simulator) commitPhase(cycle int64, res *core.CycleResult) {
 	s.run.Cycles++
-	s.run.EmptyCycles += b2i(res.Ops == 0)
+	s.run.EmptyCycles += cond.Bit[int64](res.Ops == 0)
 	s.run.Ops += int64(res.Ops)
-	s.run.MergedCycles += b2i(res.Threads >= 2)
+	s.run.MergedCycles += cond.Bit[int64](res.Threads >= 2)
 	for m := res.Issued; m != 0; m &= m - 1 {
 		t := bits.TrailingZeros8(m)
 		tr := &res.Thread[t]
-		s.wasSplit |= uint8(b2i(tr.Split)) << uint(t)
+		s.wasSplit |= cond.Bit[uint8](tr.Split) << uint(t)
 		s.accountLoads(t, tr, cycle)
 		if tr.LastPart {
 			s.retire(t, cycle)
@@ -304,7 +305,7 @@ func (s *Simulator) accountLoads(t int, tr *core.ThreadResult, cycle int64) {
 			cl += s.cfg.Geom.Clusters
 		}
 		s.run.DCacheAccesses++
-		miss := 1 - b2i(s.dc.Access(c.ti.MemAddr[cl&(isa.MaxClusters-1)]))
+		miss := 1 - cond.Bit[int64](s.dc.Access(c.ti.MemAddr[cl&(isa.MaxClusters-1)]))
 		s.run.DCacheMisses += miss
 		s.stall(t, miss, int64(s.cfg.DCache.MissPenalty), cycle, &s.run.MemStallCycles)
 	}
@@ -316,22 +317,12 @@ func (s *Simulator) accountLoads(t int, tr *core.ThreadResult, cycle int64) {
 // neither.
 func (s *Simulator) stall(t int, on, pen, cycle int64, stalled *int64) {
 	r, nr := s.ready[t], cycle+1+pen
-	longer := on & b2i(nr > r)
+	longer := on & cond.Bit[int64](nr > r)
 	*stalled += pen * longer
 	if longer != 0 { // a conditional move
 		r = nr
 	}
 	s.ready[t] = r
-}
-
-// b2i is 1 for true and 0 for false; the compiler lowers it to a flag
-// set, not a branch.
-func b2i(b bool) int64 {
-	var i int64
-	if b {
-		i = 1
-	}
-	return i
 }
 
 // retire completes a VLIW instruction on its last issued part: split
@@ -352,7 +343,7 @@ func (s *Simulator) retire(t int, cycle int64) {
 		// Paper front end: every taken branch pays the fixed penalty. This
 		// branchless-of-predictor path is byte-identical to the pre-bpred
 		// simulator and must stay that way.
-		s.stall(t, b2i(c.ti.Taken), int64(s.cfg.TakenBranchPenalty), cycle, &s.run.BranchStallCycles)
+		s.stall(t, cond.Bit[int64](c.ti.Taken), int64(s.cfg.TakenBranchPenalty), cycle, &s.run.BranchStallCycles)
 	} else if c.ti.IsBranch {
 		// Modeled front end: the per-context predictor resolves here, at
 		// retire, and mispredicts (either direction) charge the same stall
@@ -360,7 +351,7 @@ func (s *Simulator) retire(t int, cycle int64) {
 		// the wake-queue needs — nextEventCycle reads it directly.
 		s.run.Branches++
 		p := s.preds[t]
-		mispredict := b2i(p.Predict(c.ti.PC) != c.ti.Taken)
+		mispredict := cond.Bit[int64](p.Predict(c.ti.PC) != c.ti.Taken)
 		p.Update(c.ti.PC, c.ti.Taken)
 		s.run.BranchMispredicts += mispredict
 		s.stall(t, mispredict, int64(s.cfg.TakenBranchPenalty), cycle, &s.run.BranchStallCycles)
@@ -387,7 +378,7 @@ func (s *Simulator) commitStores(c *ctx) {
 			cl += n
 		}
 		s.run.DCacheAccesses++
-		s.run.DCacheMisses += 1 - b2i(s.dc.Access(c.ti.MemAddr[cl&(isa.MaxClusters-1)])) // write-allocate, no stall
+		s.run.DCacheMisses += 1 - cond.Bit[int64](s.dc.Access(c.ti.MemAddr[cl&(isa.MaxClusters-1)])) // write-allocate, no stall
 	}
 }
 

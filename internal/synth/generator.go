@@ -8,6 +8,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"vexsmt/internal/cond"
 	"vexsmt/internal/isa"
 	"vexsmt/internal/rng"
 )
@@ -620,7 +621,7 @@ func (g *Generator) step(body []template, t *TInst) {
 //	if dyn.Bool(StreamFrac) { stream } else { random: dyn.Uint64n(foot) }
 func (g *Generator) address() uint64 {
 	coin := g.dyn.Peek()
-	stream := g.alwaysOn | g.coinDraws&b2u(coin>>11 < g.coinBelow)
+	stream := g.alwaysOn | g.coinDraws&cond.Bit[uint64](coin>>11 < g.coinBelow)
 	g.dyn.Skip(g.coinDraws)
 	off := g.dyn.Peek() % g.foot &^ 3
 	g.dyn.Skip(1 - stream)
@@ -636,16 +637,6 @@ func (g *Generator) address() uint64 {
 		addr = dataBase + at
 	}
 	return addr
-}
-
-// b2u is 1 for true and 0 for false; the compiler lowers it to a flag
-// set, not a branch.
-func b2u(b bool) uint64 {
-	var u uint64
-	if b {
-		u = 1
-	}
-	return u
 }
 
 // MeasuredShape summarizes a sample of the stream; used by calibration

@@ -168,20 +168,8 @@ func gridCells(techs []core.Technique) []CellSpec {
 // distinct maps each distinct name through canon and returns the
 // distinct results in first-seen order. A plan may repeat a name any
 // number of times, so every axis is deduplicated before it is crossed:
-// resolve's work is bounded by the vocabulary, not by the request. An
-// axis of at most one name needs no deduplication and builds no maps.
+// resolve's work is bounded by the vocabulary, not by the request.
 func distinct(names []string, canon func(string) (string, error)) ([]string, error) {
-	if len(names) <= 1 {
-		out := make([]string, len(names))
-		for i, n := range names {
-			c, err := canon(n)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = c
-		}
-		return out, nil
-	}
 	var out []string
 	seenName := make(map[string]bool)
 	seenCanon := make(map[string]bool)
@@ -245,15 +233,6 @@ func (s *Service) resolve(p Plan) ([]CellSpec, error) {
 	preds, err := distinct(names, canonPredictor)
 	if err != nil {
 		return nil, err
-	}
-	if len(grid) == 0 && len(wlRefs) == 0 && len(p.Cells) == 1 {
-		// A lone explicit cell, the coordinator's submission: nothing to
-		// deduplicate against.
-		c, err := s.canon(p.Cells[0])
-		if err != nil {
-			return nil, err
-		}
-		return []CellSpec{c}, nil
 	}
 	var cells []CellSpec
 	seen := make(map[CellSpec]bool)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -104,11 +105,18 @@ func TestWorkStealingDrainsStraggler(t *testing.T) {
 func TestTransientFailureFailsOverAndRecords(t *testing.T) {
 	// Backend "flaky" fails every item; "steady" runs everything. With one
 	// retry, every item must complete, and items that started on flaky
-	// carry Attempts == 2.
+	// carry Attempts == 2. Steady waits for flaky's first attempt, so on a
+	// loaded host it cannot steal flaky's whole queue before flaky runs.
+	tried := make(chan struct{})
+	var once sync.Once
 	flaky := NewFunc("flaky", 1, func(_ context.Context, i int) (int, error) {
+		once.Do(func() { close(tried) })
 		return 0, errors.New("injected")
 	})
-	steady := NewFunc("steady", 2, func(_ context.Context, i int) (int, error) { return i + 100, nil })
+	steady := NewFunc("steady", 2, func(_ context.Context, i int) (int, error) {
+		<-tried
+		return i + 100, nil
+	})
 	ch, err := Run(bg, ints(10), []Backend[int, int]{flaky, steady}, Options{Retries: 1})
 	if err != nil {
 		t.Fatal(err)
