@@ -7,7 +7,7 @@
 //	BenchmarkFigure16  — absolute IPC of all eight techniques
 //
 // plus ablations the paper motivates but does not plot (cluster renaming,
-// IMT/BMT modes, cluster-count scaling) and micro-benchmarks of the
+// cluster-count scaling) and micro-benchmarks of the
 // simulator substrates. Figures report their headline numbers through
 // b.ReportMetric, so `go test -bench=.` prints the reproduced series.
 // Benchmarks run at a reduced scale for tractability; `cmd/paperbench
@@ -273,42 +273,6 @@ func BenchmarkAblationRenaming(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationModes compares the multithreading taxonomy of the
-// paper's introduction: single-thread, IMT, BMT, SMT.
-func BenchmarkAblationModes(b *testing.B) {
-	type mode struct {
-		name    string
-		m       sim.Mode
-		threads int
-	}
-	for _, md := range []mode{
-		{"single", sim.ModeSimultaneous, 1},
-		{"IMT-4T", sim.ModeInterleaved, 4},
-		{"BMT-4T", sim.ModeBlocked, 4},
-		{"SMT-4T", sim.ModeSimultaneous, 4},
-	} {
-		b.Run(md.name, func(b *testing.B) {
-			mix, _ := workload.MixByLabel("llhh")
-			profs, _ := mix.Profiles()
-			var ipc float64
-			for i := 0; i < b.N; i++ {
-				cfg := sim.DefaultConfig(core.SMT(), md.threads).WithScale(benchScale)
-				cfg.Mode = md.m
-				s, err := sim.NewWorkload(cfg, profs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				r, err := s.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				ipc = r.IPC()
-			}
-			b.ReportMetric(ipc, "IPC")
-		})
-	}
-}
-
 // BenchmarkAblationClusters sweeps the cluster count at constant total
 // issue width, an axis the paper's related work discusses.
 func BenchmarkAblationClusters(b *testing.B) {
@@ -463,7 +427,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 	}
 }
 
-func benchmarkThroughput(b *testing.B, threads int, benchNames []string, mode sim.Mode, reference bool) {
+func benchmarkThroughput(b *testing.B, threads int, benchNames []string, reference bool) {
 	// Whole-simulator speed in VLIW instructions per second.
 	profs := make([]synth.Profile, 0, len(benchNames))
 	for _, name := range benchNames {
@@ -477,7 +441,6 @@ func benchmarkThroughput(b *testing.B, threads int, benchNames []string, mode si
 	var instrs int64
 	for i := 0; i < b.N; i++ {
 		cfg := sim.DefaultConfig(core.CCSI(core.CommAlwaysSplit), threads).WithScale(benchScale)
-		cfg.Mode = mode
 		cfg.ReferenceLoop = reference
 		s, err := sim.NewWorkload(cfg, profs)
 		if err != nil {
@@ -501,39 +464,8 @@ func mixNames(b *testing.B, label string) []string {
 	return mix.Benchmarks[:]
 }
 
-// imtMix is the mixed-runnability workload the per-context wake-up queue
-// targets: two software threads — one memory-bound, one compute-bound — on
-// an eight-context barrel-style interleaved machine. Six of the eight issue
-// slots are permanently dead and the other two go dead whenever their
-// thread stalls, so most cycles are skippable even though a thread is
-// runnable almost all the time — exactly the case the old global
-// all-stalled check could never skip.
-var imtMix = []string{"mcf", "x264"}
-
-const imtThreads = 8
-
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	benchmarkThroughput(b, 4, mixNames(b, "mmhh"), sim.ModeSimultaneous, false)
-}
-
-// BenchmarkSimulatorThroughputIMT is the wake-up queue's target scenario
-// (see imtMix). cmd/benchgate gates it separately from the SMT-heavy
-// default so the IMT/BMT fast path cannot silently regress.
-func BenchmarkSimulatorThroughputIMT(b *testing.B) {
-	benchmarkThroughput(b, imtThreads, imtMix, sim.ModeInterleaved, false)
-}
-
-// BenchmarkSimulatorThroughputIMTReference is the bit-identical
-// one-iteration-per-cycle loop on the IMT workload; the IMT fast/reference
-// ratio is the hardware-independent quantity benchgate gates.
-func BenchmarkSimulatorThroughputIMTReference(b *testing.B) {
-	benchmarkThroughput(b, imtThreads, imtMix, sim.ModeInterleaved, true)
-}
-
-// BenchmarkSimulatorThroughputBMT tracks the blocked-multithreading
-// ablation on a stall-heavy four-thread mix (reported, not gated).
-func BenchmarkSimulatorThroughputBMT(b *testing.B) {
-	benchmarkThroughput(b, 4, mixNames(b, "hhhh"), sim.ModeBlocked, false)
+	benchmarkThroughput(b, 4, mixNames(b, "mmhh"), false)
 }
 
 // BenchmarkSimulatorThroughputReference runs the bit-identical
@@ -542,7 +474,7 @@ func BenchmarkSimulatorThroughputBMT(b *testing.B) {
 // the event-driven core's speedup measured on the same hardware in the
 // same run — the hardware-independent quantity cmd/benchgate gates on.
 func BenchmarkSimulatorThroughputReference(b *testing.B) {
-	benchmarkThroughput(b, 4, mixNames(b, "mmhh"), sim.ModeSimultaneous, true)
+	benchmarkThroughput(b, 4, mixNames(b, "mmhh"), true)
 }
 
 // benchmarkTraceThroughput is the synthetic headline scenario (mmhh, CCSI

@@ -51,14 +51,6 @@ type Baseline struct {
 	// reference hardware before the event-driven core landed (PR 5); the
 	// report derives the speedup from it.
 	PrePRInstrsPerSec float64 `json:"pre_pr_instrs_per_sec"`
-	// IMTInstrsPerSec is the expected BenchmarkSimulatorThroughputIMT
-	// headline — the mixed-runnability interleaved-multithreading workload
-	// the per-context wake-up queue (PR 6) targets. Gated like the SMT
-	// headline; zero skips the check (pre-PR-6 baselines).
-	IMTInstrsPerSec float64 `json:"imt_instrs_per_sec,omitempty"`
-	// PrePRIMTInstrsPerSec is the IMT benchmark measured on the same
-	// reference hardware before the wake-up queue landed.
-	PrePRIMTInstrsPerSec float64 `json:"pre_pr_imt_instrs_per_sec,omitempty"`
 	// TraceReplayInstrsPerSec is the expected BenchmarkTraceReplayThroughput
 	// headline — the same SMT workload replayed from recorded traces through
 	// the workload store's trace records instead of the synthetic
@@ -86,16 +78,6 @@ type Report struct {
 	// absolute numbers shift with the runner's hardware class.
 	ReferenceInstrsPerSec float64 `json:"reference_instrs_per_sec,omitempty"`
 	FastOverReference     float64 `json:"fast_over_reference_ratio,omitempty"`
-	// The IMT block mirrors the SMT headline for the mixed-runnability
-	// interleaved workload (BenchmarkSimulatorThroughputIMT and its
-	// bit-identical reference loop).
-	IMTInstrsPerSec          float64 `json:"imt_instrs_per_sec,omitempty"`
-	BaselineIMTInstrsPerSec  float64 `json:"baseline_imt_instrs_per_sec,omitempty"`
-	IMTRatioVsBaseline       float64 `json:"imt_ratio_vs_baseline,omitempty"`
-	PrePRIMTInstrsPerSec     float64 `json:"pre_pr_imt_instrs_per_sec,omitempty"`
-	IMTSpeedupVsPrePR        float64 `json:"imt_speedup_vs_pre_pr,omitempty"`
-	IMTReferenceInstrsPerSec float64 `json:"imt_reference_instrs_per_sec,omitempty"`
-	IMTFastOverReference     float64 `json:"imt_fast_over_reference_ratio,omitempty"`
 	// The trace block covers the recorded-workload replay path
 	// (BenchmarkTraceReplayThroughput): absolute floor against the baseline,
 	// in-job fast/reference ratio, and TraceOverSynthetic — the
@@ -146,7 +128,6 @@ func run(args []string) error {
 			_ = json.Unmarshal(data, &base) // keep pre-PR references and note
 		}
 		base.SimulatorInstrsPerSec = m.instrs
-		base.IMTInstrsPerSec = m.imt
 		base.TraceReplayInstrsPerSec = m.trc
 		base.EngineCycleNsPerOp = m.engine
 		return writeJSON(*baseline, &base)
@@ -170,10 +151,6 @@ func run(args []string) error {
 		RatioVsBaseline:            m.instrs / base.SimulatorInstrsPerSec,
 		PrePRInstrsPerSec:          base.PrePRInstrsPerSec,
 		ReferenceInstrsPerSec:      m.ref,
-		IMTInstrsPerSec:            m.imt,
-		BaselineIMTInstrsPerSec:    base.IMTInstrsPerSec,
-		PrePRIMTInstrsPerSec:       base.PrePRIMTInstrsPerSec,
-		IMTReferenceInstrsPerSec:   m.imtRef,
 		TraceInstrsPerSec:          m.trc,
 		BaselineTraceInstrsPerSec:  base.TraceReplayInstrsPerSec,
 		TraceReferenceInstrsPerSec: m.trcRef,
@@ -188,15 +165,6 @@ func run(args []string) error {
 	if m.ref > 0 {
 		rep.FastOverReference = m.instrs / m.ref
 	}
-	if m.imt > 0 && base.IMTInstrsPerSec > 0 {
-		rep.IMTRatioVsBaseline = m.imt / base.IMTInstrsPerSec
-	}
-	if m.imt > 0 && base.PrePRIMTInstrsPerSec > 0 {
-		rep.IMTSpeedupVsPrePR = m.imt / base.PrePRIMTInstrsPerSec
-	}
-	if m.imt > 0 && m.imtRef > 0 {
-		rep.IMTFastOverReference = m.imt / m.imtRef
-	}
 	if m.trc > 0 && base.TraceReplayInstrsPerSec > 0 {
 		rep.TraceRatioVsBaseline = m.trc / base.TraceReplayInstrsPerSec
 	}
@@ -208,21 +176,15 @@ func run(args []string) error {
 	}
 	absOK := rep.RatioVsBaseline >= 1.0-*maxRegress
 	ratioOK := *minRatio <= 0 || m.ref == 0 || rep.FastOverReference >= *minRatio
-	// The IMT and trace checks mirror the SMT ones and are skipped
-	// field-by-field when the baseline or the benchmark predates them.
-	imtAbsOK := base.IMTInstrsPerSec <= 0 || m.imt == 0 || rep.IMTRatioVsBaseline >= 1.0-*maxRegress
-	imtRatioOK := *minRatio <= 0 || m.imt == 0 || m.imtRef == 0 || rep.IMTFastOverReference >= *minRatio
+	// The trace checks mirror the SMT ones and are skipped field-by-field
+	// when the baseline or the benchmark predates them.
 	trcAbsOK := base.TraceReplayInstrsPerSec <= 0 || m.trc == 0 || rep.TraceRatioVsBaseline >= 1.0-*maxRegress
 	trcRatioOK := *minRatio <= 0 || m.trc == 0 || m.trcRef == 0 || rep.TraceFastOverReference >= *minRatio
 	trcSynthOK := *minTrace <= 0 || m.trc == 0 || rep.TraceOverSynthetic >= *minTrace
-	rep.Pass = absOK && ratioOK && imtAbsOK && imtRatioOK && trcAbsOK && trcRatioOK && trcSynthOK
+	rep.Pass = absOK && ratioOK && trcAbsOK && trcRatioOK && trcSynthOK
 	if *minRatio > 0 && m.ref == 0 {
 		fmt.Fprintln(os.Stderr, "benchgate: warning: BenchmarkSimulatorThroughputReference metric absent; "+
 			"fast/reference ratio check skipped (use an unanchored -bench pattern to include it)")
-	}
-	if base.IMTInstrsPerSec > 0 && m.imt == 0 {
-		fmt.Fprintln(os.Stderr, "benchgate: warning: BenchmarkSimulatorThroughputIMT metric absent; "+
-			"IMT checks skipped (use an unanchored -bench pattern to include it)")
 	}
 	if (base.TraceReplayInstrsPerSec > 0 || *minTrace > 0) && m.trc == 0 {
 		fmt.Fprintln(os.Stderr, "benchgate: warning: BenchmarkTraceReplayThroughput metric absent; "+
@@ -238,10 +200,6 @@ func run(args []string) error {
 	}
 	fmt.Printf("benchgate: %.0f instrs/s (baseline %.0f, ratio %.2f, fast/reference %.2f, speedup vs pre-PR %.2fx)\n",
 		rep.InstrsPerSec, rep.BaselineInstrsPerSec, rep.RatioVsBaseline, rep.FastOverReference, rep.SpeedupVsPrePR)
-	if m.imt > 0 {
-		fmt.Printf("benchgate: IMT %.0f instrs/s (baseline %.0f, ratio %.2f, fast/reference %.2f, speedup vs pre-PR %.2fx)\n",
-			rep.IMTInstrsPerSec, rep.BaselineIMTInstrsPerSec, rep.IMTRatioVsBaseline, rep.IMTFastOverReference, rep.IMTSpeedupVsPrePR)
-	}
 	if m.trc > 0 {
 		fmt.Printf("benchgate: trace replay %.0f instrs/s (baseline %.0f, ratio %.2f, fast/reference %.2f, trace/synthetic %.2f)\n",
 			rep.TraceInstrsPerSec, rep.BaselineTraceInstrsPerSec, rep.TraceRatioVsBaseline, rep.TraceFastOverReference, rep.TraceOverSynthetic)
@@ -253,14 +211,6 @@ func run(args []string) error {
 	if !ratioOK {
 		return fmt.Errorf("fast loop slower than reference loop: ratio %.3f below %.3f (%.0f vs %.0f instrs/s)",
 			rep.FastOverReference, *minRatio, m.instrs, m.ref)
-	}
-	if !imtAbsOK {
-		return fmt.Errorf("IMT throughput regression: %.0f instrs/s is more than %.0f%% below baseline %.0f",
-			m.imt, *maxRegress*100, base.IMTInstrsPerSec)
-	}
-	if !imtRatioOK {
-		return fmt.Errorf("IMT fast loop slower than reference loop: ratio %.3f below %.3f (%.0f vs %.0f instrs/s)",
-			rep.IMTFastOverReference, *minRatio, m.imt, m.imtRef)
 	}
 	if !trcAbsOK {
 		return fmt.Errorf("trace-replay throughput regression: %.0f instrs/s is more than %.0f%% below baseline %.0f",
@@ -281,31 +231,19 @@ func run(args []string) error {
 type benchMetrics struct {
 	instrs float64 // BenchmarkSimulatorThroughput (SMT headline)
 	ref    float64 // BenchmarkSimulatorThroughputReference
-	imt    float64 // BenchmarkSimulatorThroughputIMT
-	imtRef float64 // BenchmarkSimulatorThroughputIMTReference
 	trc    float64 // BenchmarkTraceReplayThroughput
 	trcRef float64 // BenchmarkTraceReplayThroughputReference
 	engine map[string]float64
 }
 
-// headlineBenchmarks maps instrs/s benchmark names to the benchMetrics
-// field that records them. The table is ordered most-specific-first and
-// matched by prefix, because go test suffixes names with -GOMAXPROCS and
-// the throughput benchmarks share name prefixes: IMTReference must win
-// over IMT, each Reference variant over its bare headline. A nil dst
-// recognizes the name so a later, shorter prefix cannot claim it, but
-// records nothing.
-var headlineBenchmarks = []struct {
-	prefix string
-	dst    func(*benchMetrics) *float64
-}{
-	{"BenchmarkSimulatorThroughputIMTReference", func(m *benchMetrics) *float64 { return &m.imtRef }},
-	{"BenchmarkSimulatorThroughputIMT", func(m *benchMetrics) *float64 { return &m.imt }},
-	{"BenchmarkSimulatorThroughputBMT", nil}, // reported in the raw stream for trend-watching; not gated
-	{"BenchmarkSimulatorThroughputReference", func(m *benchMetrics) *float64 { return &m.ref }},
-	{"BenchmarkSimulatorThroughput", func(m *benchMetrics) *float64 { return &m.instrs }},
-	{"BenchmarkTraceReplayThroughputReference", func(m *benchMetrics) *float64 { return &m.trcRef }},
-	{"BenchmarkTraceReplayThroughput", func(m *benchMetrics) *float64 { return &m.trc }},
+// headlineBenchmarks maps instrs/s benchmark names, without the
+// -GOMAXPROCS suffix go test appends, to the benchMetrics field that
+// records them.
+var headlineBenchmarks = map[string]func(*benchMetrics) *float64{
+	"BenchmarkSimulatorThroughput":            func(m *benchMetrics) *float64 { return &m.instrs },
+	"BenchmarkSimulatorThroughputReference":   func(m *benchMetrics) *float64 { return &m.ref },
+	"BenchmarkTraceReplayThroughput":          func(m *benchMetrics) *float64 { return &m.trc },
+	"BenchmarkTraceReplayThroughputReference": func(m *benchMetrics) *float64 { return &m.trcRef },
 }
 
 // parseBench extracts the instrs/s headlines and per-technique engine-cycle
@@ -349,29 +287,22 @@ func parseBench(path string) (benchMetrics, error) {
 			continue
 		}
 		name, metrics := parseBenchLine(line)
-		if strings.HasPrefix(name, "BenchmarkEngineCycle/") {
+		// Strip the -<GOMAXPROCS> suffix go test appends.
+		if i := strings.LastIndex(name, "-"); i > 0 {
+			if _, err := strconv.Atoi(name[i+1:]); err == nil {
+				name = name[:i]
+			}
+		}
+		if tech, ok := strings.CutPrefix(name, "BenchmarkEngineCycle/"); ok {
 			if v, ok := metrics["ns/op"]; ok {
-				tech := strings.ReplaceAll(strings.TrimPrefix(name, "BenchmarkEngineCycle/"), "_", " ")
-				// Strip the -<GOMAXPROCS> suffix go test appends.
-				if i := strings.LastIndex(tech, "-"); i > 0 {
-					if _, err := strconv.Atoi(tech[i+1:]); err == nil {
-						tech = tech[:i]
-					}
-				}
-				m.engine[tech] = v
+				m.engine[strings.ReplaceAll(tech, "_", " ")] = v
 			}
 			continue
 		}
-		for _, h := range headlineBenchmarks {
-			if !strings.HasPrefix(name, h.prefix) {
-				continue
+		if dst, ok := headlineBenchmarks[name]; ok {
+			if v, ok := metrics["instrs/s"]; ok {
+				*dst(&m) = v
 			}
-			if h.dst != nil {
-				if v, ok := metrics["instrs/s"]; ok {
-					*h.dst(&m) = v
-				}
-			}
-			break
 		}
 	}
 	return m, nil

@@ -17,9 +17,6 @@ const rawJSON = `{"Action":"start","Package":"vexsmt"}
 {"Action":"output","Package":"vexsmt","Output":"BenchmarkEngineCycle/CCSI_AS-8 \t 8984086\t       136.7 ns/op\n"}
 {"Action":"output","Package":"vexsmt","Output":"BenchmarkSimulatorThroughput-8 \t"}
 {"Action":"output","Package":"vexsmt","Output":"      31\t  74810503 ns/op\t   4567159 instrs/s\n"}
-{"Action":"output","Package":"vexsmt","Output":"BenchmarkSimulatorThroughputIMT-8 \t      52\t  46060006 ns/op\t   4200000 instrs/s\n"}
-{"Action":"output","Package":"vexsmt","Output":"BenchmarkSimulatorThroughputIMTReference-8 \t      36\t  68802022 ns/op\t   2800000 instrs/s\n"}
-{"Action":"output","Package":"vexsmt","Output":"BenchmarkSimulatorThroughputBMT-8 \t      39\t  56521036 ns/op\t   4300000 instrs/s\n"}
 {"Action":"output","Package":"vexsmt","Output":"BenchmarkSimulatorThroughputReference-8 \t      30\t  76000000 ns/op\t   4400000 instrs/s\n"}
 {"Action":"output","Package":"vexsmt","Output":"BenchmarkTraceReplayThroughput-8 \t      34\t  70000000 ns/op\t   4900000 instrs/s\n"}
 {"Action":"output","Package":"vexsmt","Output":"BenchmarkTraceReplayThroughputReference-8 \t      28\t  80000000 ns/op\t   4100000 instrs/s\n"}
@@ -48,13 +45,8 @@ func TestParseBenchJSONStream(t *testing.T) {
 	if m.ref != 4400000 {
 		t.Fatalf("reference instrs/s = %v, want 4400000", m.ref)
 	}
-	// The shared BenchmarkSimulatorThroughput prefix must not leak the
-	// IMT/BMT variants into the SMT headline.
-	if m.imt != 4200000 || m.imtRef != 2800000 {
-		t.Fatalf("IMT metrics = %v/%v, want 4200000/2800000", m.imt, m.imtRef)
-	}
-	// The trace pair shares its prefix the same way: Reference must not
-	// clobber the bare headline or vice versa.
+	// Each headline shares its name's prefix with its Reference variant:
+	// neither may clobber the other.
 	if m.trc != 4900000 || m.trcRef != 4100000 {
 		t.Fatalf("trace metrics = %v/%v, want 4900000/4100000", m.trc, m.trcRef)
 	}
@@ -77,17 +69,13 @@ func TestParseBenchPlainText(t *testing.T) {
 	if m.ref != 0 {
 		t.Fatalf("reference instrs/s = %v, want 0 (absent)", m.ref)
 	}
-	if m.imt != 0 || m.imtRef != 0 {
-		t.Fatalf("IMT metrics = %v/%v, want absent", m.imt, m.imtRef)
-	}
 }
 
 func TestGatePassAndReport(t *testing.T) {
 	dir := t.TempDir()
 	raw := write(t, dir, "raw.json", rawJSON)
 	base := write(t, dir, "base.json",
-		`{"simulator_instrs_per_sec": 4314664, "pre_pr_instrs_per_sec": 2157332,
-		  "imt_instrs_per_sec": 4000000, "pre_pr_imt_instrs_per_sec": 2100000}`)
+		`{"simulator_instrs_per_sec": 4314664, "pre_pr_instrs_per_sec": 2157332}`)
 	out := filepath.Join(dir, "report.json")
 	if err := run([]string{"-raw", raw, "-baseline", base, "-out", out}); err != nil {
 		t.Fatalf("gate failed on healthy numbers: %v", err)
@@ -109,12 +97,6 @@ func TestGatePassAndReport(t *testing.T) {
 	if rep.FastOverReference <= 1.0 {
 		t.Fatalf("fast/reference ratio %v, want > 1.0", rep.FastOverReference)
 	}
-	if rep.IMTInstrsPerSec != 4200000 || rep.IMTSpeedupVsPrePR < 1.5 {
-		t.Fatalf("IMT report wrong: %+v", rep)
-	}
-	if rep.IMTFastOverReference <= 1.0 {
-		t.Fatalf("IMT fast/reference ratio %v, want > 1.0", rep.IMTFastOverReference)
-	}
 	if rep.TraceInstrsPerSec != 4900000 || rep.TraceOverSynthetic <= 1.0 {
 		t.Fatalf("trace report wrong: %+v", rep)
 	}
@@ -123,7 +105,7 @@ func TestGatePassAndReport(t *testing.T) {
 func TestGateFailsOnTraceRegression(t *testing.T) {
 	dir := t.TempDir()
 	raw := write(t, dir, "raw.json", rawJSON)
-	// SMT and IMT headlines healthy, trace baseline far above the measured
+	// SMT headline healthy, trace baseline far above the measured
 	// 4900000.
 	base := write(t, dir, "base.json",
 		`{"simulator_instrs_per_sec": 4314664, "trace_replay_instrs_per_sec": 9000000}`)
@@ -162,44 +144,6 @@ func TestGateSkipsTraceWithOldBaseline(t *testing.T) {
 	base := write(t, dir, "base.json", `{"simulator_instrs_per_sec": 4500000}`)
 	if err := run([]string{"-raw", raw, "-baseline", base}); err != nil {
 		t.Fatalf("absent trace benchmark should skip the trace checks: %v", err)
-	}
-}
-
-func TestGateFailsOnIMTRegression(t *testing.T) {
-	dir := t.TempDir()
-	raw := write(t, dir, "raw.json", rawJSON)
-	// SMT headline healthy, IMT baseline far above the measured 4200000.
-	base := write(t, dir, "base.json",
-		`{"simulator_instrs_per_sec": 4314664, "imt_instrs_per_sec": 9000000}`)
-	err := run([]string{"-raw", raw, "-baseline", base})
-	if err == nil || !strings.Contains(err.Error(), "IMT throughput regression") {
-		t.Fatalf("expected IMT regression failure, got %v", err)
-	}
-}
-
-func TestGateFailsWhenIMTFastSlowerThanReference(t *testing.T) {
-	dir := t.TempDir()
-	raw := write(t, dir, "raw.txt",
-		"BenchmarkSimulatorThroughput \t 10\t 100 ns/op\t 4500000 instrs/s\n"+
-			"BenchmarkSimulatorThroughputReference \t 10\t 100 ns/op\t 4400000 instrs/s\n"+
-			"BenchmarkSimulatorThroughputIMT \t 10\t 100 ns/op\t 3000000 instrs/s\n"+
-			"BenchmarkSimulatorThroughputIMTReference \t 10\t 100 ns/op\t 4000000 instrs/s\n")
-	base := write(t, dir, "base.json",
-		`{"simulator_instrs_per_sec": 4500000, "imt_instrs_per_sec": 3000000}`)
-	err := run([]string{"-raw", raw, "-baseline", base})
-	if err == nil || !strings.Contains(err.Error(), "IMT fast loop slower") {
-		t.Fatalf("expected IMT ratio failure, got %v", err)
-	}
-}
-
-func TestGateSkipsIMTWithOldBaseline(t *testing.T) {
-	// A pre-PR-6 baseline has no imt_instrs_per_sec field: the IMT absolute
-	// check is skipped, but the in-job IMT fast/reference ratio still gates.
-	dir := t.TempDir()
-	raw := write(t, dir, "raw.json", rawJSON)
-	base := write(t, dir, "base.json", `{"simulator_instrs_per_sec": 4314664}`)
-	if err := run([]string{"-raw", raw, "-baseline", base}); err != nil {
-		t.Fatalf("old baseline should skip the IMT absolute check: %v", err)
 	}
 }
 
@@ -275,9 +219,6 @@ func TestUpdateRewritesBaseline(t *testing.T) {
 	}
 	if b.SimulatorInstrsPerSec != 4567159 || b.PrePRInstrsPerSec != 2157332 || b.Note != "keep me" {
 		t.Fatalf("baseline not updated in place: %+v", b)
-	}
-	if b.IMTInstrsPerSec != 4200000 {
-		t.Fatalf("baseline IMT headline not updated: %+v", b)
 	}
 	if b.TraceReplayInstrsPerSec != 4900000 {
 		t.Fatalf("baseline trace headline not updated: %+v", b)

@@ -5,9 +5,8 @@
 //
 //	vexsim -mix llhh -tech "CCSI AS" -threads 4
 //	vexsim -mix hhhh -tech SMT -threads 2 -scale 100 -seed 7
-//	vexsim -mix llll -tech CSMT -threads 4 -mode BMT        # ablation mode
 //	vexsim -mix mmhh -tech "COSI NS" -threads 4 -no-renaming
-//	vexsim -mix hhhh -mode IMT -reference-loop              # bit-identity check
+//	vexsim -mix hhhh -reference-loop                        # bit-identity check
 //	vexsim -mix llhh -predictor gshare                      # modeled front end
 //	vexsim -mix mmhh -scale 10 -cpuprofile cpu.prof         # profile the hot loop
 package main
@@ -41,7 +40,6 @@ func run(args []string) error {
 		threads    = fs.Int("threads", 4, "hardware thread contexts")
 		scale      = fs.Int64("scale", 100, "scale divisor of paper scale (1 = 200M instructions)")
 		seed       = fs.Uint64("seed", 1, "simulation seed")
-		mode       = fs.String("mode", "SMT", "issue mode: SMT, IMT, BMT (IMT/BMT are ablations)")
 		predictor  = fs.String("predictor", "static", "branch predictor: static, bimodal, gshare, tage")
 		perfect    = fs.Bool("perfect", false, "perfect memory (no cache misses)")
 		noRename   = fs.Bool("no-renaming", false, "disable cluster renaming (ablation)")
@@ -76,16 +74,6 @@ func run(args []string) error {
 	cfg.PerfectMemory = *perfect
 	cfg.ClusterRenaming = !*noRename
 	cfg.ReferenceLoop = *refLoop
-	switch *mode {
-	case "SMT":
-		cfg.Mode = sim.ModeSimultaneous
-	case "IMT":
-		cfg.Mode = sim.ModeInterleaved
-	case "BMT":
-		cfg.Mode = sim.ModeBlocked
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
-	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -112,8 +100,8 @@ func run(args []string) error {
 		return err
 	}
 
-	fmt.Printf("workload %s on %d-thread %s machine (%s mode, 1/%d scale, seed %d)\n",
-		mix.Label, *threads, tech.Name(), cfg.Mode, *scale, *seed)
+	fmt.Printf("workload %s on %d-thread %s machine (1/%d scale, seed %d)\n",
+		mix.Label, *threads, tech.Name(), *scale, *seed)
 	fmt.Printf("  cycles             %12d\n", r.Cycles)
 	fmt.Printf("  VLIW instructions  %12d\n", r.Instrs)
 	fmt.Printf("  operations         %12d\n", r.Ops)

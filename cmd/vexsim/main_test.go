@@ -16,7 +16,6 @@ func TestBadFlagsRejected(t *testing.T) {
 		"unknown-predictor-typo": {[]string{"-predictor", "Tage2"}, "static, bimodal, gshare, tage"},
 		"unknown-mix":            {[]string{"-mix", "zzzz"}, "unknown mix"},
 		"unknown-technique":      {[]string{"-tech", "XXSI"}, "unknown technique"},
-		"unknown-mode":           {[]string{"-mode", "QMT"}, "unknown mode"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			err := run(tc.args)

@@ -7,35 +7,33 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-
-	"vexsmt/internal/cond"
 )
+
+// Ways is the associativity of every cache: the paper's caches are 4-way.
+const Ways = 4
 
 // Config describes a cache geometry.
 type Config struct {
 	SizeBytes   int // total capacity
 	LineBytes   int // line (block) size
-	Ways        int // associativity
 	MissPenalty int // cycles added on a miss
 }
 
 // Paper64KB4Way is the paper's cache configuration. The paper does not state
 // the line size; 64-byte lines are the ST200 documented line size.
-var Paper64KB4Way = Config{SizeBytes: 64 << 10, LineBytes: 64, Ways: 4, MissPenalty: 20}
+var Paper64KB4Way = Config{SizeBytes: 64 << 10, LineBytes: 64, MissPenalty: 20}
 
 // Validate checks the configuration for consistency (power-of-two geometry).
 func (c Config) Validate() error {
 	switch {
-	case c.SizeBytes <= 0 || c.LineBytes <= 0 || c.Ways <= 0:
+	case c.SizeBytes <= 0 || c.LineBytes <= 0:
 		return fmt.Errorf("cache: non-positive geometry %+v", c)
 	case c.LineBytes&(c.LineBytes-1) != 0:
 		return fmt.Errorf("cache: line size %d not a power of two", c.LineBytes)
-	case c.Ways > 64:
-		return fmt.Errorf("cache: %d ways exceed the 64-way hit mask", c.Ways)
-	case c.SizeBytes%(c.LineBytes*c.Ways) != 0:
+	case c.SizeBytes%(c.LineBytes*Ways) != 0:
 		return fmt.Errorf("cache: size %d not divisible by way size", c.SizeBytes)
 	}
-	sets := c.SizeBytes / (c.LineBytes * c.Ways)
+	sets := c.SizeBytes / (c.LineBytes * Ways)
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cache: set count %d not a power of two", sets)
 	}
@@ -66,17 +64,19 @@ func (s Stats) MissRate() float64 {
 // correctness is owned by the functional machine's flat memory.
 //
 // Each way is one 16-byte line, and a set's ways are contiguous, so a
-// lookup in the paper's 4-way cache reads one 64-byte host cache line.
+// lookup reads one 64-byte host cache line.
 type Cache struct {
 	cfg      Config
-	ways     int
 	lineBits uint
 	setBits  uint
 	setMask  uint64
-	lines    []line // sets*ways entries, set-major
+	sets     []set
 	clock    uint64
 	stats    Stats
 }
+
+// set is one set's ways.
+type set [Ways]line
 
 // line is one way of a set. key is the tag plus one, so the zero line is
 // invalid; the tag has at most 63 bits, since Validate rejects the one
@@ -93,14 +93,13 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
+	sets := cfg.SizeBytes / (cfg.LineBytes * Ways)
 	return &Cache{
 		cfg:      cfg,
-		ways:     cfg.Ways,
 		lineBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		setBits:  uint(bits.TrailingZeros(uint(sets))),
 		setMask:  uint64(sets - 1),
-		lines:    make([]line, sets*cfg.Ways),
+		sets:     make([]set, sets),
 	}, nil
 }
 
@@ -121,10 +120,9 @@ func (c *Cache) Config() Config { return c.cfg }
 func (c *Cache) Stats() Stats { return c.stats }
 
 // lookup returns addr's set and its line key.
-func (c *Cache) lookup(addr uint64) (set []line, key uint64) {
+func (c *Cache) lookup(addr uint64) (*set, uint64) {
 	l := addr >> (c.lineBits & 63) // both shifts are below 64; the masks say so to the compiler
-	base := int(l&c.setMask) * c.ways
-	return c.lines[base : base+c.ways : base+c.ways], l>>(c.setBits&63) + 1
+	return &c.sets[l&c.setMask], l>>(c.setBits&63) + 1
 }
 
 // Access looks up addr, updating LRU state and allocating on miss
@@ -133,76 +131,62 @@ func (c *Cache) lookup(addr uint64) (set []line, key uint64) {
 // invalid way, else the way with the smallest stamp.
 //
 // Which way of the set holds addr is the simulated program's random
-// outcome, so the lookup never branches on it: it builds a hit mask and
-// takes the way from TrailingZeros. The one branch is hit against miss,
-// which the host predicts (misses are rare) and which keeps the victim
-// search off the hit path: were every access to pick the victim from the
-// stamps, each access to a set would wait on the previous one's stamp
-// store.
-//
-// The paper's 4-way set, the only one the simulator builds, is four
-// straight-line compares here and a two-level tournament in oldest.
-// Other associativities take match's and oldest's loops, which are
-// about 30% slower on four ways (BenchmarkCacheAccess) and cost a cold
-// sweep about 5%.
+// outcome, so the lookup never branches on it: it builds a hit mask from
+// four straight-line compares and takes the way from TrailingZeros. The
+// one branch is hit against miss, which the host predicts (misses are
+// rare) and which keeps the victim search off the hit path: were every
+// access to pick the victim from the stamps, each access to a set would
+// wait on the previous one's stamp store.
 func (c *Cache) Access(addr uint64) bool {
 	c.stats.Accesses++
-	set, key := c.lookup(addr)
+	s, key := c.lookup(addr)
 	c.clock++
-	var hit uint64
-	if len(set) == 4 { // the paper's set: four straight-line compares
-		s := (*[4]line)(set)
-		hit = cond.Bit[uint64](s[0].key == key) | cond.Bit[uint64](s[1].key == key)<<1 |
-			cond.Bit[uint64](s[2].key == key)<<2 | cond.Bit[uint64](s[3].key == key)<<3
-	} else {
-		hit = match(set, key)
-	}
-	if hit != 0 {
-		set[bits.TrailingZeros64(hit)].stamp = c.clock
+	if hit := s.match(key); hit != 0 {
+		s[bits.TrailingZeros64(hit)&(Ways-1)].stamp = c.clock
 		return true
 	}
 	c.stats.Misses++
-	set[oldest(set)] = line{key: key, stamp: c.clock}
+	s[s.oldest()] = line{key: key, stamp: c.clock}
 	return false
 }
 
-// match returns the mask of set's ways holding key.
-func match(set []line, key uint64) uint64 {
+// match returns the mask of the ways holding key. Each if is a compare
+// and a conditional move, not a branch, and the four of them keep match
+// within the inlining budget (four cond.Bit terms exceed it).
+func (s *set) match(key uint64) uint64 {
 	var hit uint64
-	for w := range set {
-		hit |= cond.Bit[uint64](set[w].key == key) << uint(w)
+	if s[0].key == key {
+		hit |= 1
+	}
+	if s[1].key == key {
+		hit |= 2
+	}
+	if s[2].key == key {
+		hit |= 4
+	}
+	if s[3].key == key {
+		hit |= 8
 	}
 	return hit
 }
 
-// oldest returns set's victim: the way with the smallest stamp, ties
+// oldest returns the victim way: the one with the smallest stamp, ties
 // going to the later way. An invalid line has stamp 0 and a valid one a
 // distinct stamp of at least 1, so that is the last invalid way when
-// there is one. A 4-way set is a two-level tournament of conditional
-// moves.
-func oldest(set []line) int {
-	if len(set) == 4 {
-		s := (*[4]line)(set)
-		lo, loStamp := 0, s[0].stamp
-		if s[1].stamp <= loStamp {
-			lo, loStamp = 1, s[1].stamp
-		}
-		hi, hiStamp := 2, s[2].stamp
-		if s[3].stamp <= hiStamp {
-			hi, hiStamp = 3, s[3].stamp
-		}
-		if hiStamp <= loStamp {
-			return hi
-		}
-		return lo
+// there is one. It is a two-level tournament of conditional moves.
+func (s *set) oldest() int {
+	lo, loStamp := 0, s[0].stamp
+	if s[1].stamp <= loStamp {
+		lo, loStamp = 1, s[1].stamp
 	}
-	w, stamp := 0, set[0].stamp
-	for i := range set {
-		if set[i].stamp <= stamp {
-			w, stamp = i, set[i].stamp
-		}
+	hi, hiStamp := 2, s[2].stamp
+	if s[3].stamp <= hiStamp {
+		hi, hiStamp = 3, s[3].stamp
 	}
-	return w
+	if hiStamp <= loStamp {
+		return hi
+	}
+	return lo
 }
 
 // AccessPenalty performs Access and returns the stall penalty in cycles:
@@ -217,8 +201,8 @@ func (c *Cache) AccessPenalty(addr uint64) int {
 // Probe reports whether addr currently hits without touching LRU or
 // statistics and without allocating.
 func (c *Cache) Probe(addr uint64) bool {
-	set, key := c.lookup(addr)
-	return match(set, key) != 0
+	s, key := c.lookup(addr)
+	return s.match(key) != 0
 }
 
 // Flush invalidates all lines and clears statistics. Used at context-switch
@@ -230,6 +214,6 @@ func (c *Cache) Flush() {
 
 // Invalidate clears tag state but keeps accumulated statistics.
 func (c *Cache) Invalidate() {
-	clear(c.lines)
+	clear(c.sets)
 	c.clock = 0
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func small() Config {
-	return Config{SizeBytes: 1 << 10, LineBytes: 64, Ways: 2, MissPenalty: 20}
+	return Config{SizeBytes: 1 << 10, LineBytes: 64, MissPenalty: 20}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -14,10 +14,10 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("paper config invalid: %v", err)
 	}
 	bad := []Config{
-		{SizeBytes: 0, LineBytes: 64, Ways: 4},
-		{SizeBytes: 1024, LineBytes: 48, Ways: 4},
-		{SizeBytes: 1000, LineBytes: 64, Ways: 4},
-		{SizeBytes: 64 << 10, LineBytes: 64, Ways: 3}, // 341.33 sets
+		{SizeBytes: 0, LineBytes: 64},
+		{SizeBytes: 1024, LineBytes: 48},
+		{SizeBytes: 1000, LineBytes: 64},
+		{SizeBytes: 3 << 8, LineBytes: 64}, // 3 sets
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -44,21 +44,22 @@ func TestColdMissThenHit(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := MustNew(small()) // 2 ways, 8 sets, 64B lines; set stride = 512B
-	// Three lines mapping to the same set: line ids 0, 8, 16.
-	a0, a1, a2 := uint64(0), uint64(8*64), uint64(16*64)
-	c.Access(a0) // miss
-	c.Access(a1) // miss
+	c := MustNew(small()) // 4 ways, 4 sets, 64B lines; set stride = 256B
+	// Five lines mapping to the same set: line ids 0, 4, 8, 12, 16.
+	a0, a1, a2, a3, a4 := uint64(0), uint64(4*64), uint64(8*64), uint64(12*64), uint64(16*64)
+	for _, a := range []uint64{a0, a1, a2, a3} {
+		c.Access(a) // miss
+	}
 	c.Access(a0) // hit, a1 is now LRU
-	c.Access(a2) // miss, evicts a1
+	c.Access(a4) // miss, evicts a1
 	if !c.Probe(a0) {
 		t.Fatal("a0 evicted, expected a1")
 	}
 	if c.Probe(a1) {
 		t.Fatal("a1 still resident")
 	}
-	if !c.Access(a2) {
-		t.Fatal("a2 not resident after allocation")
+	if !c.Access(a4) {
+		t.Fatal("a4 not resident after allocation")
 	}
 }
 

@@ -10,16 +10,16 @@ import (
 // to: each set is a slice of resident line ids, least recent first, and a
 // line id is the whole address above the line offset.
 type refCache struct {
-	lineBytes, sets, ways uint64
-	penalty               int
-	order                 [][]uint64
-	stats                 Stats
+	lineBytes, sets uint64
+	penalty         int
+	order           [][]uint64
+	stats           Stats
 }
 
 func newRef(cfg Config) *refCache {
-	sets := cfg.SizeBytes / (cfg.LineBytes * cfg.Ways)
+	sets := cfg.SizeBytes / (cfg.LineBytes * Ways)
 	return &refCache{
-		lineBytes: uint64(cfg.LineBytes), sets: uint64(sets), ways: uint64(cfg.Ways),
+		lineBytes: uint64(cfg.LineBytes), sets: uint64(sets),
 		penalty: cfg.MissPenalty, order: make([][]uint64, sets),
 	}
 }
@@ -39,7 +39,7 @@ func (r *refCache) access(addr uint64) bool {
 		return true
 	}
 	r.stats.Misses++
-	if uint64(len(o)) == r.ways {
+	if len(o) == Ways {
 		o = slices.Delete(o, 0, 1)
 	}
 	r.order[set] = append(o, line)
@@ -57,12 +57,11 @@ func (r *refCache) invalidate() {
 	}
 }
 
-// fuzzConfig maps three fuzzed bytes onto a cache geometry: lines of 1 to
-// 128 bytes, 1 to 32 sets, 1 to 8 ways.
-func fuzzConfig(lineLog, setLog, ways uint8) Config {
+// fuzzConfig maps two fuzzed bytes onto a cache geometry: lines of 1 to
+// 128 bytes and 1 to 32 sets.
+func fuzzConfig(lineLog, setLog uint8) Config {
 	line := 1 << (lineLog % 8)
-	w := 1 + int(ways%8)
-	return Config{SizeBytes: line * w << (setLog % 6), LineBytes: line, Ways: w, MissPenalty: 7}
+	return Config{SizeBytes: line * Ways << (setLog % 6), LineBytes: line, MissPenalty: 7}
 }
 
 // FuzzCacheMatchesReference drives Cache and the true-LRU oracle with one
@@ -74,14 +73,14 @@ func fuzzConfig(lineLog, setLog, ways uint8) Config {
 // opcode's high bits add an offset inside the line and an address bit
 // from the top of the 64-bit range.
 func FuzzCacheMatchesReference(f *testing.F) {
-	f.Add(uint8(6), uint8(3), uint8(3), []byte{0, 0, 0, 0, 8, 0, 0, 16, 0, 0, 24, 0, 0, 32, 0, 0, 0, 0, 1, 0, 0})
-	f.Add(uint8(0), uint8(0), uint8(1), []byte{0, 1, 0, 0, 2, 0, 2, 1, 0, 0, 1, 0, 3, 0, 0, 0, 1, 0})
-	f.Add(uint8(2), uint8(0), uint8(7), []byte{0, 0, 0, 0, 1, 0, 0x40, 0, 0, 0x80, 1, 0, 4, 0, 0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, lineLog, setLog, ways uint8, ops []byte) {
-		cfg := fuzzConfig(lineLog, setLog, ways)
+	f.Add(uint8(6), uint8(3), []byte{0, 0, 0, 0, 8, 0, 0, 16, 0, 0, 24, 0, 0, 32, 0, 0, 0, 0, 1, 0, 0})
+	f.Add(uint8(0), uint8(0), []byte{0, 1, 0, 0, 2, 0, 2, 1, 0, 0, 1, 0, 3, 0, 0, 0, 1, 0})
+	f.Add(uint8(2), uint8(0), []byte{0, 0, 0, 0, 1, 0, 0x40, 0, 0, 0x80, 1, 0, 4, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, lineLog, setLog uint8, ops []byte) {
+		cfg := fuzzConfig(lineLog, setLog)
 		c, err := New(cfg)
 		if err != nil {
-			if cfg.LineBytes == 1 && cfg.SizeBytes == cfg.Ways {
+			if cfg.LineBytes == 1 && cfg.SizeBytes == Ways {
 				return // the one geometry Validate rejects
 			}
 			t.Fatalf("%+v: %v", cfg, err)
@@ -141,7 +140,7 @@ func FuzzCacheMatchesReference(f *testing.F) {
 func TestClockPastUint32(t *testing.T) {
 	c := MustNew(Paper64KB4Way)
 	c.clock = 1<<32 - 2
-	stride := uint64(Paper64KB4Way.SizeBytes / Paper64KB4Way.Ways) // same set
+	stride := uint64(Paper64KB4Way.SizeBytes / Ways) // same set
 	a, b, d, e, fresh := uint64(0), stride, 2*stride, 3*stride, 4*stride
 	for _, addr := range []uint64{a, b, d, e} { // a is stamped 2^32-1
 		c.Access(addr)
@@ -166,12 +165,12 @@ func TestClockPastUint32(t *testing.T) {
 // adjacent lines apart (the tag once dropped the line id's low bit, which
 // only the set index can restore).
 func TestFullyAssociativeDistinctLines(t *testing.T) {
-	c := MustNew(Config{SizeBytes: 256, LineBytes: 64, Ways: 4, MissPenalty: 1})
+	c := MustNew(Config{SizeBytes: 256, LineBytes: 64, MissPenalty: 1})
 	c.Access(0)
 	if c.Probe(64) {
 		t.Fatal("line 1 hits after only line 0 was accessed")
 	}
-	if err := (Config{SizeBytes: 4, LineBytes: 1, Ways: 4}).Validate(); err == nil {
+	if err := (Config{SizeBytes: 4, LineBytes: 1}).Validate(); err == nil {
 		t.Fatal("a single set of 1-byte lines was accepted")
 	}
 }

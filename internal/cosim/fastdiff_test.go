@@ -48,9 +48,8 @@ func runPair(t *testing.T, label string, cfg sim.Config, profs []synth.Profile) 
 }
 
 // TestFastLoopMatchesReferenceGrid sweeps the paper's whole technique
-// space — all eight techniques (NS and AS variants included), all three
-// multithreading modes, 1/2/4 hardware threads — plus perfect-memory and
-// no-timeslice variants, comparing full counter structs between the fast
+// space — all eight techniques (NS and AS variants included), 1/2/4
+// hardware threads — plus perfect-memory and no-timeslice variants, comparing full counter structs between the fast
 // and reference loops.
 func TestFastLoopMatchesReferenceGrid(t *testing.T) {
 	mix, err := workload.MixByLabel("llhh")
@@ -63,13 +62,10 @@ func TestFastLoopMatchesReferenceGrid(t *testing.T) {
 	}
 	const scale = 20000
 	for _, tech := range core.AllTechniques() {
-		for _, mode := range []sim.Mode{sim.ModeSimultaneous, sim.ModeInterleaved, sim.ModeBlocked} {
-			for _, threads := range []int{1, 2, 4} {
-				cfg := sim.DefaultConfig(tech, threads).WithScale(scale)
-				cfg.Mode = mode
-				label := fmt.Sprintf("%s/%s/%dT", tech.Name(), mode, threads)
-				runPair(t, label, cfg, profs[:min(len(profs), max(threads, 2))])
-			}
+		for _, threads := range []int{1, 2, 4} {
+			cfg := sim.DefaultConfig(tech, threads).WithScale(scale)
+			label := fmt.Sprintf("%s/%dT", tech.Name(), threads)
+			runPair(t, label, cfg, profs[:min(len(profs), max(threads, 2))])
 		}
 	}
 	// Perfect memory throttles every stall source except branches; the
@@ -83,14 +79,12 @@ func TestFastLoopMatchesReferenceGrid(t *testing.T) {
 	solo.TimesliceCycles = 0
 	runPair(t, "no-timeslice", solo, profs[:1])
 
-	// Mixed runnability: fewer jobs than contexts on a wide interleaved
-	// machine, the wake-up queue's target scenario — most issue slots are
-	// permanently dead and nearly every loop iteration is a jump.
+	// Mixed runnability: fewer jobs than contexts, so most contexts stay
+	// parked and the machine stalls whenever the few live ones do.
 	for _, threads := range []int{4, 8} {
 		for _, jobs := range []int{1, 2} {
 			wide := sim.DefaultConfig(core.CCSI(core.CommAlwaysSplit), threads).WithScale(scale)
-			wide.Mode = sim.ModeInterleaved
-			runPair(t, fmt.Sprintf("imt-mixed-%dT-%dj", threads, jobs), wide, profs[:jobs])
+			runPair(t, fmt.Sprintf("mixed-%dT-%dj", threads, jobs), wide, profs[:jobs])
 		}
 	}
 }
@@ -98,7 +92,7 @@ func TestFastLoopMatchesReferenceGrid(t *testing.T) {
 // TestWakeOnTimesliceBoundary sweeps timeslice lengths around the cache
 // miss penalties so that stall expiries land before, exactly on, and after
 // timeslice boundaries (which wake idle contexts through the switch mask).
-// The queue caps every jump at the boundary; an off-by-one in that cap
+// Every jump is capped at the boundary; an off-by-one in that cap
 // would context-switch on a different cycle and diverge immediately.
 func TestWakeOnTimesliceBoundary(t *testing.T) {
 	mix, err := workload.MixByLabel("llhh")
@@ -153,22 +147,19 @@ func TestRespawnAcrossFetchBatch(t *testing.T) {
 // TestAllContextsWakeSameCycle runs identically-seeded copies of one
 // profile on every context: the threads stall and wake in lockstep, so
 // whole-machine sleeps end with every context waking on the same cycle and
-// the queue minimum is an n-way tie. Ties must resolve to the same cycle
-// the reference loop reaches by stepping.
+// the earliest wake-up is an n-way tie. Ties must resolve to the same
+// cycle the reference loop reaches by stepping.
 func TestAllContextsWakeSameCycle(t *testing.T) {
 	prof, ok := synth.ByName("mcf") // memory-bound: stalls constantly
 	if !ok {
 		t.Fatal("missing profile")
 	}
-	for _, mode := range []sim.Mode{sim.ModeSimultaneous, sim.ModeInterleaved, sim.ModeBlocked} {
-		cfg := sim.DefaultConfig(core.SMT(), 4).WithScale(40000)
-		cfg.Mode = mode
-		// Four byte-identical streams: same profile, and NewWorkload derives
-		// every job's generator seed from the same (profile seed, config
-		// seed) pair, so all four contexts draw the same instructions.
-		profs := []synth.Profile{prof, prof, prof, prof}
-		runPair(t, fmt.Sprintf("lockstep-%s", mode), cfg, profs)
-	}
+	cfg := sim.DefaultConfig(core.SMT(), 4).WithScale(40000)
+	// Four byte-identical streams: same profile, and NewWorkload derives
+	// every job's generator seed from the same (profile seed, config seed)
+	// pair, so all four contexts draw the same instructions.
+	profs := []synth.Profile{prof, prof, prof, prof}
+	runPair(t, "lockstep", cfg, profs)
 }
 
 // randomProfile draws a structurally valid synthetic-benchmark profile:
@@ -198,11 +189,10 @@ func randomProfile(r *rng.Rand, i int, geom isa.Geometry) synth.Profile {
 
 // TestFastLoopPropertyRandomized is the randomized differential property:
 // random profiles, geometries, techniques, thread counts (up to the full
-// 8-context machine), issue modes, job counts (under- and oversubscribed)
-// and scheduling parameters, with full stats.Run equality between the fast
-// and reference cores on every draw. Undersubscribed interleaved draws are
-// the wake-up queue's hardest case: most issue slots are permanently dead,
-// so nearly every fast-loop step is a computed jump.
+// 8-context machine), job counts (under- and oversubscribed) and
+// scheduling parameters, with full stats.Run equality between the fast
+// and reference cores on every draw. Undersubscribed draws leave contexts
+// parked, so the machine stalls whenever its few live contexts do.
 func TestFastLoopPropertyRandomized(t *testing.T) {
 	r := rng.New(0xd1ff)
 	geoms := []isa.Geometry{
@@ -212,7 +202,6 @@ func TestFastLoopPropertyRandomized(t *testing.T) {
 		{Clusters: 1, IssueWidth: 4, ALUs: 4, Muls: 2, MemUnits: 1},
 	}
 	techs := core.AllTechniques()
-	modes := []sim.Mode{sim.ModeSimultaneous, sim.ModeInterleaved, sim.ModeBlocked}
 	trials := 25
 	if testing.Short() {
 		trials = 6
@@ -223,7 +212,6 @@ func TestFastLoopPropertyRandomized(t *testing.T) {
 		threads := 1 + r.Intn(8)
 		cfg := sim.DefaultConfig(tech, threads).WithScale(20000 + int64(r.Intn(20000)))
 		cfg.Geom = geom
-		cfg.Mode = modes[r.Intn(len(modes))]
 		cfg.Seed = r.Uint64()
 		cfg.ClusterRenaming = r.Bool(0.5)
 		cfg.PerfectMemory = r.Bool(0.2)
@@ -243,8 +231,8 @@ func TestFastLoopPropertyRandomized(t *testing.T) {
 		for i := range profs {
 			profs[i] = randomProfile(r, trial*10+i, geom)
 		}
-		label := fmt.Sprintf("trial %d (%s, %s, %dC, %dT, %d jobs, slice %d, perfect %v)",
-			trial, tech.Name(), cfg.Mode, geom.Clusters, threads, nprofs, cfg.TimesliceCycles, cfg.PerfectMemory)
+		label := fmt.Sprintf("trial %d (%s, %dC, %dT, %d jobs, slice %d, perfect %v)",
+			trial, tech.Name(), geom.Clusters, threads, nprofs, cfg.TimesliceCycles, cfg.PerfectMemory)
 		runPair(t, label, cfg, profs)
 	}
 }

@@ -70,10 +70,10 @@ func TestStaticPredictorIsLegacy(t *testing.T) {
 }
 
 // TestPredictorFastLoopMatchesReferenceGrid sweeps predictor models across
-// techniques, issue modes and thread counts, comparing full counter
-// structs between the fast and reference loops. Mispredict penalties move
-// per-context wake cycles, so this is the machine check that the PR 6
-// wake-up queue computes predictor-dependent wake cycles correctly.
+// techniques and thread counts, comparing full counter structs between
+// the fast and reference loops. Mispredict penalties move per-context wake
+// cycles, so this is the machine check that the next-event jump honours
+// predictor-dependent wake cycles.
 func TestPredictorFastLoopMatchesReferenceGrid(t *testing.T) {
 	mix, err := workload.MixByLabel("llhh")
 	if err != nil {
@@ -90,14 +90,11 @@ func TestPredictorFastLoopMatchesReferenceGrid(t *testing.T) {
 	}
 	for _, pred := range []string{"bimodal", "gshare", "tage"} {
 		for _, tech := range techs {
-			for _, mode := range []sim.Mode{sim.ModeSimultaneous, sim.ModeInterleaved, sim.ModeBlocked} {
-				for _, threads := range []int{1, 2, 4} {
-					cfg := sim.DefaultConfig(tech, threads).WithScale(scale)
-					cfg.Mode = mode
-					cfg.Predictor = pred
-					label := fmt.Sprintf("%s/%s/%s/%dT", pred, tech.Name(), mode, threads)
-					runPair(t, label, cfg, profs[:min(len(profs), max(threads, 2))])
-				}
+			for _, threads := range []int{1, 2, 4} {
+				cfg := sim.DefaultConfig(tech, threads).WithScale(scale)
+				cfg.Predictor = pred
+				label := fmt.Sprintf("%s/%s/%dT", pred, tech.Name(), threads)
+				runPair(t, label, cfg, profs[:min(len(profs), max(threads, 2))])
 			}
 		}
 	}
@@ -158,12 +155,11 @@ func TestPredictorModelsActuallyPredict(t *testing.T) {
 
 // TestPredictorRandomizedDifferential is the randomized property for the
 // predictor axis: random profiles (including branch- and taken-heavy
-// draws), techniques, modes, thread counts and predictor models, with
+// draws), techniques, thread counts and predictor models, with
 // full counter equality between the fast and reference loops.
 func TestPredictorRandomizedDifferential(t *testing.T) {
 	r := rng.New(0xb9ed)
 	techs := core.AllTechniques()
-	modes := []sim.Mode{sim.ModeSimultaneous, sim.ModeInterleaved, sim.ModeBlocked}
 	models := bpred.Names()[1:] // skip static: covered by the legacy differential
 	trials := 12
 	if testing.Short() {
@@ -172,7 +168,6 @@ func TestPredictorRandomizedDifferential(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		threads := 1 + r.Intn(4)
 		cfg := sim.DefaultConfig(techs[r.Intn(len(techs))], threads).WithScale(20000 + int64(r.Intn(20000)))
-		cfg.Mode = modes[r.Intn(len(modes))]
 		cfg.Seed = r.Uint64()
 		cfg.Predictor = models[r.Intn(len(models))]
 		if r.Bool(0.3) {
@@ -189,8 +184,8 @@ func TestPredictorRandomizedDifferential(t *testing.T) {
 			profs[i].BranchProb = 0.2 + r.Float64()*0.6
 			profs[i].TakenProb = r.Float64()
 		}
-		label := fmt.Sprintf("trial %d (%s, %s, %s, %dT, %d jobs)",
-			trial, cfg.Predictor, cfg.Tech.Name(), cfg.Mode, threads, nprofs)
+		label := fmt.Sprintf("trial %d (%s, %s, %dT, %d jobs)",
+			trial, cfg.Predictor, cfg.Tech.Name(), threads, nprofs)
 		runPair(t, label, cfg, profs)
 	}
 }

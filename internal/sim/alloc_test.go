@@ -55,6 +55,46 @@ func TestFastForwardZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestFastForwardJumpZeroAllocs covers the multi-cycle jumps of a
+// mostly idle machine: two jobs on eight contexts, so six contexts are
+// parked and whole-machine stalls are common.
+func TestFastForwardJumpZeroAllocs(t *testing.T) {
+	cfg := testConfig(core.SMT(), 8)
+	profs, err := mustMix(t, "llhh").Profiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewWorkload(cfg, profs[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.beginRun()
+	cycle := int64(0)
+	jumps := 0
+	allocs := testing.AllocsPerRun(20_000, func() {
+		s.expireTimeslice(cycle)
+		if next := s.nextEventCycle(cycle); next > cycle {
+			skip := next - cycle
+			s.run.Cycles += skip
+			s.run.EmptyCycles += skip
+			s.eng.SkipCycles(skip)
+			cycle = next
+			jumps++
+			return
+		}
+		s.fetchPhase(cycle)
+		s.issuePhase(cycle, &s.st.res)
+		s.commitPhase(cycle, &s.st.res)
+		cycle += s.portStallCycles(&s.st.res) + 1
+	})
+	if allocs != 0 {
+		t.Errorf("%.2f allocs per iteration, want 0", allocs)
+	}
+	if jumps == 0 {
+		t.Error("the run performed no jumps; the scenario does not exercise the fast-forward path")
+	}
+}
+
 // TestRunZeroAllocsSteadyState measures a whole Run after a first warm
 // run: construction aside, repeated runs reuse every buffer.
 func TestRunZeroAllocsSteadyState(t *testing.T) {

@@ -15,32 +15,6 @@ import (
 	"vexsmt/internal/isa"
 )
 
-// Mode selects the multithreading execution mode. The paper evaluates
-// simultaneous issue (SMT-family); interleaved and blocked multithreading
-// are implemented as ablation baselines from the introduction's taxonomy.
-type Mode uint8
-
-const (
-	// ModeSimultaneous merges instructions from all ready threads every
-	// cycle (the paper's machine).
-	ModeSimultaneous Mode = iota
-	// ModeInterleaved issues from one thread per cycle, rotating each cycle
-	// (IMT; removes only vertical waste).
-	ModeInterleaved
-	// ModeBlocked runs one thread until it stalls, then switches (BMT).
-	ModeBlocked
-)
-
-func (m Mode) String() string {
-	switch m {
-	case ModeInterleaved:
-		return "IMT"
-	case ModeBlocked:
-		return "BMT"
-	}
-	return "SMT"
-}
-
 // Config is a full machine + experiment configuration.
 //
 // The register file is always partitioned: each thread has its own
@@ -53,7 +27,6 @@ type Config struct {
 	Geom            isa.Geometry
 	Threads         int            // hardware thread contexts
 	Tech            core.Technique // merging/split-issue technique
-	Mode            Mode
 	ClusterRenaming bool
 
 	ICache        cache.Config
@@ -117,7 +90,6 @@ func DefaultConfig(tech core.Technique, threads int) Config {
 		Geom:               isa.ST200x4,
 		Threads:            threads,
 		Tech:               tech,
-		Mode:               ModeSimultaneous,
 		ClusterRenaming:    true,
 		ICache:             cache.Paper64KB4Way,
 		DCache:             cache.Paper64KB4Way,

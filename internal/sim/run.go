@@ -19,19 +19,16 @@ import (
 // so a cycle allocates nothing; simulators share zero mutable state, so
 // any number of them may run on concurrent goroutines.
 //
-// The loop is event-driven around a per-context wake-up queue: every
-// hardware context owns a computed wake-up cycle (DCache-miss stalls,
-// ICache fetch stalls, taken-branch penalties, timeslice waits, and the
-// wait for the context's own issue slot under interleaved multithreading
-// are all computable at the point they begin). nextEventCycle takes the
-// queue minimum — capped at timeslice boundaries and cancellation polls —
-// and the loop jumps straight to it, folding the skipped cycles into the
-// counters and the engine's priority rotation in one step. Unlike a
-// global all-stalled check, the queue jumps even when some contexts are
-// runnable: under IMT a runnable thread still leaves the cycles between
-// its issue slots provably dead. Completed runs are bit-identical to the
-// one-iteration-per-cycle reference loop (Config.ReferenceLoop), which
-// the differential tests in internal/cosim machine-check.
+// The loop is event-driven: every stall source (DCache-miss stalls,
+// ICache fetch stalls, taken-branch and mispredict penalties, timeslice
+// waits) is computable at the point it begins, so each hardware context
+// holds its exact wake-up cycle in ready. nextEventCycle takes the
+// earliest of them, capped at timeslice boundaries and cancellation
+// polls, and the loop jumps straight to it, folding the skipped cycles
+// into the counters and the engine's priority rotation in one step.
+// Completed runs are bit-identical to the one-iteration-per-cycle
+// reference loop (Config.ReferenceLoop), which the differential tests in
+// internal/cosim machine-check.
 //
 // The per-cycle path never branches on a simulated random outcome to
 // choose a value. Which way of a simulated cache set hits, whether a
@@ -48,7 +45,6 @@ import (
 
 // runState holds one run's bookkeeping and reusable per-cycle buffers.
 type runState struct {
-	wq         wakeQueue        // per-context wake-up event queue
 	res        core.CycleResult // engine scratch, rewritten every cycle
 	maxCycles  int64
 	sliceEnd   int64
@@ -76,12 +72,12 @@ func (s *Simulator) Run() (*stats.Run, error) {
 func (s *Simulator) RunContext(ctx context.Context) (*stats.Run, error) {
 	s.beginRun()
 	fast := !s.cfg.ReferenceLoop
-	// Jump-check policy: attempting a jump costs a wake-up-queue rebuild,
+	// Jump-check policy: attempting a jump costs a scan of every context,
 	// so it runs lazily, only on the iteration right after an empty cycle.
 	// A dead stretch always announces itself with one empty cycle — a cycle
 	// where nothing issues — so at most one dead cycle per stretch executes
-	// through the phases before the queue folds the rest into a jump, while
-	// productive cycles (the expensive ones) never pay for a rebuild. The
+	// through the phases before the scan folds the rest into a jump, while
+	// productive cycles (the expensive ones) never pay for a scan. The
 	// policy is bit-identical by construction: a forgone jump just executes
 	// dead cycles one at a time, exactly like the reference loop.
 	tryJump := fast
@@ -136,75 +132,33 @@ func (s *Simulator) RunContext(ctx context.Context) (*stats.Run, error) {
 	}
 }
 
-// nextEventCycle rebuilds the per-context wake-up queue and returns the
-// earliest cycle at which any context can act. A return equal to cycle
-// means some context can fetch, load or issue right now; a later return
-// means every cycle in [cycle, next) is provably dead: the phases would
-// only count an empty cycle and rotate the issue priority.
+// nextEventCycle returns the earliest cycle at which any context can
+// act. A return equal to cycle means some context can fetch, load or
+// issue right now; a later return means every cycle in [cycle, next) is
+// provably dead: the phases would only count an empty cycle and rotate
+// the issue priority.
 //
-// A context's wake-up cycle is its stall expiry (ready), with one
-// mode-dependent refinement: under interleaved multithreading a context
-// whose instruction is already loaded can only issue on its own slot —
-// cycles congruent to its index modulo the context count — so its wake-up
-// rounds up to that slot and the loop jumps over the dead slots of other
-// contexts even while this one is runnable. The jump is capped at the next
-// timeslice boundary (which can wake idle contexts via the switch mask),
-// the next cancellation poll, and the runaway guard, so all scheduling
-// bookkeeping still happens on exactly the cycles it would have happened
-// on.
+// A context wakes at its stall expiry (ready). A parked context (no job,
+// no instruction and no pending switch) can only be woken by a timeslice
+// boundary, so it is left out. The jump is capped at the next timeslice
+// boundary (which can wake idle contexts via the switch mask), the next
+// cancellation poll, and the runaway guard, so all scheduling bookkeeping
+// still happens on exactly the cycles it would have happened on. An
+// expiry or boundary already behind cycle (a memory-port stall can push
+// the clock past one) means cycle itself.
 func (s *Simulator) nextEventCycle(cycle int64) int64 {
-	q := &s.st.wq
-	horizon := s.st.maxCycles
-	imt := s.cfg.Mode == ModeInterleaved
-	n := int64(len(s.ctxs))
-	pick := int64(0)
-	if imt {
-		pick = cycle % n // the cycle's issue-slot phase, computed once
-	}
+	next := s.st.maxCycles
 	for t := range s.ctxs {
 		bit := uint8(1) << uint(t)
 		if s.have&bit == 0 && s.ctxs[t].job == nil && s.wantSw&bit == 0 {
-			q.park(t, horizon) // nothing can wake it before the next timeslice
-			continue
+			continue // parked
 		}
-		w := s.ready[t]
-		if w < cycle {
-			w = cycle
-		}
-		if imt && s.loaded&bit != 0 {
-			// Round w up to the context's own issue slot (cycles congruent
-			// to t mod n), derived from the precomputed phase with small
-			// adjustments: (t - w) mod n = (t - pick - (w-cycle) mod n) mod n,
-			// and the inner reduction only needs a division in the rare case
-			// of a loaded context stalled a full rotation or more ahead.
-			d := w - cycle
-			if d >= n {
-				d %= n
-			}
-			off := int64(t) - pick - d // in [-(2n-2), n-1]
-			if off < 0 {
-				off += n
-				if off < 0 {
-					off += n
-				}
-			}
-			w += off
-		}
-		q.set(t, w)
+		next = min(next, s.ready[t])
 	}
-	next := q.min()
-	if s.cfg.TimesliceCycles > 0 && s.st.sliceEnd < next {
-		next = s.st.sliceEnd
+	if s.cfg.TimesliceCycles > 0 {
+		next = min(next, s.st.sliceEnd)
 	}
-	if s.st.ctxCheckAt < next {
-		next = s.st.ctxCheckAt
-	}
-	if next < cycle {
-		// A memory-port stall pushed the clock past an already-due boundary;
-		// let the normal path handle this cycle.
-		next = cycle
-	}
-	return next
+	return max(min(next, s.st.ctxCheckAt), cycle)
 }
 
 // beginRun resets the run bookkeeping; counters and pipeline state carry
@@ -215,7 +169,6 @@ func (s *Simulator) beginRun() {
 	if s.st.maxCycles == 0 {
 		s.st.maxCycles = cfg.LimitInstrs*64 + 10_000_000
 	}
-	s.st.wq.reset(len(s.ctxs), s.st.maxCycles)
 	s.st.sliceEnd = cfg.TimesliceCycles
 	s.st.ctxEvery = cfg.TimesliceCycles
 	if s.st.ctxEvery <= 0 || s.st.ctxEvery > cancelCheckCycles {
@@ -256,8 +209,7 @@ func (s *Simulator) fetchPhase(cycle int64) {
 }
 
 // issuePhase builds the ready mask branchlessly from the struct-of-arrays
-// context state, applies the IMT/BMT mode restriction, and runs the
-// merge/split engine for one cycle, writing the result into caller-owned
+// context state and runs the merge/split engine for one cycle, writing the result into caller-owned
 // scratch.
 func (s *Simulator) issuePhase(cycle int64, res *core.CycleResult) {
 	mask := uint8(0)
@@ -266,11 +218,7 @@ func (s *Simulator) issuePhase(cycle int64, res *core.CycleResult) {
 		// cycle-ready[t], inverted — no compare-and-branch per context.
 		mask |= uint8((^uint64(cycle-s.ready[t]))>>63) << uint(t)
 	}
-	mask &= s.loaded
-	if s.cfg.Mode != ModeSimultaneous {
-		mask = s.applyMode(cycle, mask)
-	}
-	s.eng.CycleMask(mask, res)
+	s.eng.CycleMask(mask&s.loaded, res)
 }
 
 // commitPhase accounts the cycle's results: global counters, per-thread
@@ -348,7 +296,7 @@ func (s *Simulator) retire(t int, cycle int64) {
 		// Modeled front end: the per-context predictor resolves here, at
 		// retire, and mispredicts (either direction) charge the same stall
 		// path the paper charges taken branches. Writing s.ready[t] is all
-		// the wake-queue needs — nextEventCycle reads it directly.
+		// the next-event jump needs — nextEventCycle reads it directly.
 		s.run.Branches++
 		p := s.preds[t]
 		mispredict := cond.Bit[int64](p.Predict(c.ti.PC) != c.ti.Taken)
@@ -506,28 +454,6 @@ func (s *Simulator) contextSwitch(t int) {
 	pick := rng.Draw(s.cfg.Seed*0x5851f42d+s.switchCount, len(waiting))
 	s.ctxs[t].job = waiting[pick]
 	s.run.ContextSwitches++
-}
-
-// applyMode restricts the ready mask for the IMT/BMT ablation modes.
-func (s *Simulator) applyMode(cycle int64, mask uint8) uint8 {
-	switch s.cfg.Mode {
-	case ModeInterleaved:
-		return mask & (1 << uint(cycle%int64(s.cfg.Threads)))
-	case ModeBlocked:
-		// Stay on the current thread while it is ready; otherwise rotate to
-		// the next ready one.
-		if mask&(1<<uint(s.bmtCur)) == 0 {
-			for i := 1; i <= s.cfg.Threads; i++ {
-				cand := (s.bmtCur + i) % s.cfg.Threads
-				if mask&(1<<uint(cand)) != 0 {
-					s.bmtCur = cand
-					break
-				}
-			}
-		}
-		return mask & (1 << uint(s.bmtCur))
-	}
-	return mask
 }
 
 func (s *Simulator) finish() {

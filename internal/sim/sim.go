@@ -88,7 +88,6 @@ type Simulator struct {
 	st      runState // per-run bookkeeping and per-cycle scratch
 	waiting []*Job   // reusable context-switch candidate buffer
 
-	bmtCur      int
 	switchCount uint64
 }
 

@@ -278,39 +278,45 @@ func TestSingleThreadTechniqueIrrelevant(t *testing.T) {
 	}
 }
 
-func TestIMTAndBMTModes(t *testing.T) {
-	// IMT and BMT remove only vertical waste, so SMT must beat both, and
-	// both must beat single-threaded on a stall-heavy workload.
-	get := func(mode Mode, threads int) float64 {
-		cfg := testConfig(core.SMT(), threads)
-		cfg.Mode = mode
-		m := mustMix(t, "llhh")
-		profs, _ := m.Profiles()
-		s, err := NewWorkload(cfg, profs)
-		if err != nil {
-			t.Fatal(err)
+// TestNextEventCycle pins the next-event jump: a loaded, ready context
+// means this cycle, a stalled one its exact expiry, a parked context (no
+// job, nothing fetched, no pending switch) never pulls the jump earlier,
+// and the jump stops at the timeslice boundary and the cancellation poll.
+func TestNextEventCycle(t *testing.T) {
+	s := runMix(t, "hhhh", core.SMT(), 4)
+	s.beginRun()
+	// Context 2 is the only live context; the others have no job.
+	for i := range s.ctxs {
+		if i != 2 {
+			s.ctxs[i].job = nil
 		}
-		r, err := s.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.IPC()
 	}
-	single := get(ModeSimultaneous, 1)
-	imt := get(ModeInterleaved, 4)
-	bmt := get(ModeBlocked, 4)
-	smt := get(ModeSimultaneous, 4)
-	if !(smt > imt) {
-		t.Errorf("SMT %.3f not above IMT %.3f", smt, imt)
+	s.have, s.loaded, s.wantSw = 1<<2, 1<<2, 0
+	s.st.sliceEnd, s.st.ctxCheckAt = 1000, 2000
+	s.ready = [core.MaxThreads]int64{0, 6, 3, 7}
+	if got := s.nextEventCycle(5); got != 5 {
+		t.Fatalf("loaded, ready context: next = %d, want the current cycle 5", got)
 	}
-	if !(smt > bmt) {
-		t.Errorf("SMT %.3f not above BMT %.3f", smt, bmt)
+	s.ready[2] = 8
+	if got := s.nextEventCycle(5); got != 8 {
+		t.Fatalf("stalled context (parked contexts ready at 0, 6, 7): next = %d, want its expiry 8", got)
 	}
-	if !(imt > single) {
-		t.Errorf("IMT %.3f not above single-thread %.3f", imt, single)
+	s.wantSw = 1 << 1 // a pending switch wakes context 1 at its expiry
+	if got := s.nextEventCycle(5); got != 6 {
+		t.Fatalf("context with a pending switch: next = %d, want 6", got)
 	}
-	if !(bmt > single) {
-		t.Errorf("BMT %.3f not above single-thread %.3f", bmt, single)
+	s.wantSw = 0
+	s.ready[2] = 5000
+	if got := s.nextEventCycle(5); got != 1000 {
+		t.Fatalf("next = %d, want the timeslice boundary 1000", got)
+	}
+	s.st.ctxCheckAt = 900
+	if got := s.nextEventCycle(5); got != 900 {
+		t.Fatalf("next = %d, want the cancellation poll 900", got)
+	}
+	s.cfg.TimesliceCycles, s.st.ctxCheckAt = 0, 2000
+	if got := s.nextEventCycle(5); got != 2000 {
+		t.Fatalf("no timeslicing: next = %d, want the cancellation poll 2000", got)
 	}
 }
 
@@ -390,21 +396,36 @@ func TestMaxCyclesGuard(t *testing.T) {
 // cluster renaming. The engine reports loads at renamed clusters, and a
 // load at renamed cluster c must access the address of raw cluster
 // (c-rotation) mod n. Stores commit in ascending renamed order. The
-// DCache here holds one line, so the last address accessed is the one
-// resident; over every pair of store clusters that fixes their order.
+// DCache here is one 4-way set, so three fresh lines touched after an
+// access evict every other line, and only the address accessed last is
+// still resident; over every pair of store clusters that fixes their
+// order.
 func TestRenamedClustersMapToRawAddresses(t *testing.T) {
 	const n = 4
 	cfg := testConfig(core.SMT(), 1)
-	cfg.DCache = cache.Config{SizeBytes: 64, LineBytes: 64, Ways: 1, MissPenalty: 1}
+	cfg.DCache = cache.Config{SizeBytes: cache.Ways * 64, LineBytes: 64, MissPenalty: 1}
 	var ti synth.TInst
 	for c := range ti.MemAddr[:n] {
 		ti.MemAddr[c] = 0x1000 * uint64(c+1)
+	}
+	// onlyLast reports whether raw cluster want's address was the one
+	// accessed last.
+	onlyLast := func(dc *cache.Cache, want int) bool {
+		for _, fresh := range []uint64{0x10000, 0x20000, 0x30000} {
+			dc.Access(fresh)
+		}
+		for raw := 0; raw < n; raw++ {
+			if dc.Probe(ti.MemAddr[raw]) != (raw == want) {
+				return false
+			}
+		}
+		return true
 	}
 	for by := 0; by < n; by++ {
 		s := &Simulator{cfg: cfg, dc: cache.MustNew(cfg.DCache), ctxs: []ctx{{ti: &ti, rotation: by}}}
 		for c := 0; c < n; c++ {
 			s.accountLoads(0, &core.ThreadResult{LoadsAt: 1 << uint(c)}, 0)
-			if raw := (c - by + n) % n; !s.dc.Probe(ti.MemAddr[raw]) {
+			if raw := (c - by + n) % n; !onlyLast(s.dc, raw) {
 				t.Errorf("rotation %d: a load at renamed cluster %d did not access raw cluster %d", by, c, raw)
 			}
 		}
@@ -417,7 +438,7 @@ func TestRenamedClustersMapToRawAddresses(t *testing.T) {
 			}
 			ti.Stores = stores
 			s.commitStores(&s.ctxs[0])
-			if !s.dc.Probe(ti.MemAddr[last]) {
+			if !onlyLast(s.dc, last) {
 				t.Errorf("rotation %d, stores %04b: raw cluster %d was not the last store committed", by, stores, last)
 			}
 		}
